@@ -23,6 +23,9 @@ from .secrecy import LinkBudget, _rate_from_mag2
 
 BRUTE_FORCE_CAP = 24
 
+# annealing draws its start as one unsigned 64-bit mask
+ANNEALING_MAX_ANTENNAS = 64
+
 
 def brute_force_optimum(v: ValueFunction, n_antennas: int) -> tuple[int, float]:
     """Best nonempty coalition by direct enumeration of all 2^N - 1 masks.
@@ -137,15 +140,18 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     exp(dv / T).  Returns the best coalition ever visited, which is at
     least as good as the start, so zero steps returns the start itself.
     Passing a list as best_trace records the best-so-far value at the
-    start and after every step.
+    start and after every step.  At most 64 antennas.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
+    if n_antennas > ANNEALING_MAX_ANTENNAS:
+        raise ValueError(f"annealing supports at most {ANNEALING_MAX_ANTENNAS} antennas, "
+                         f"got {n_antennas}")
     if schedule is None:
         schedule = AnnealingSchedule()
     rng = np.random.default_rng(seed)
     # high endpoint included: the full coalition is a legal start
-    state = int(rng.integers(1, (1 << n_antennas) - 1, endpoint=True))
+    state = int(rng.integers(1, (1 << n_antennas) - 1, endpoint=True, dtype=np.uint64))
     value = v(state)
     best_state, best_value = state, value
     if best_trace is not None:

@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import coalitions
-from .baselines import (AnnealingSchedule, brute_force_secrecy_optimum,
+from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule,
+                        brute_force_secrecy_optimum,
                         coalition_value_activation, simulated_annealing,
                         ula_secrecy_rate)
 from .channel import channel_vector
@@ -85,6 +86,11 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.power_dbm_axis:
             raise ValueError("power axis must be nonempty")
+        if not all(math.isfinite(p) for p in self.power_dbm_axis):
+            raise ValueError(f"powers must be finite, got {self.power_dbm_axis}")
+        for name in ("power_dbm", "convergence_power_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.antenna_axis:
             raise ValueError("antenna axis must be nonempty")
         if any(n < 1 for n in self.antenna_axis):
@@ -228,7 +234,7 @@ def _evaluate_trial(args) -> tuple[list, list]:
             method=method, sweep_value=sweep_value, trial=trial, seed=fingerprint,
             secrecy_rate=secrecy, secrecy_rate_clamped=max(secrecy, 0.0),
             bob_rate=bob_rate, eve_rate=eve_rate,
-            coalition_mask=mask, coalition_size=coalitions.size(mask),
+            coalition_mask=mask, coalition_size=mask.bit_count(),
             iterations=iterations, wall_time_s=time.perf_counter() - start))
 
     if kind != "convergence":
@@ -279,7 +285,7 @@ def _convergence_extras(config, rows, traces, evaluator, bob_channels,
         method=reference, sweep_value=sweep_value, trial=trial, seed=fingerprint,
         secrecy_rate=ref_value, secrecy_rate_clamped=max(ref_value, 0.0),
         bob_rate=ref_bob, eve_rate=ref_eve,
-        coalition_mask=ref_mask, coalition_size=coalitions.size(ref_mask),
+        coalition_mask=ref_mask, coalition_size=ref_mask.bit_count(),
         iterations=ref_iterations, wall_time_s=elapsed,
         optimum_value=ref_value, optimum_ratio=ratio(ref_value),
         reference_method=reference))
@@ -298,18 +304,23 @@ def _convergence_extras(config, rows, traces, evaluator, bob_channels,
 
 def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
     if kind == "power":
-        n_points = len(config.power_dbm_axis)
+        n_points, counts = len(config.power_dbm_axis), (config.n_antennas,)
     elif kind == "antenna":
-        n_points = len(config.antenna_axis)
+        n_points, counts = len(config.antenna_axis), config.antenna_axis
     elif kind == "convergence":
-        n_points = 1
-        if config.n_antennas > EXHAUSTIVE_LIMIT:
-            warnings.warn(
-                f"{config.n_antennas} antennas exceeds the exhaustive limit "
-                f"({EXHAUSTIVE_LIMIT}); using simulated annealing as the reference",
-                RuntimeWarning, stacklevel=3)
+        n_points, counts = 1, (config.n_antennas,)
     else:
         raise ValueError(f"unknown study kind {kind!r}")
+    past_exhaustive = config.n_antennas > EXHAUSTIVE_LIMIT
+    anneals = past_exhaustive if kind == "convergence" else "annealing" in config.methods
+    if anneals and max(counts) > ANNEALING_MAX_ANTENNAS:
+        raise ValueError(f"annealing supports at most {ANNEALING_MAX_ANTENNAS} antennas; "
+                         f"this study needs it at {max(counts)}")
+    if kind == "convergence" and past_exhaustive:
+        warnings.warn(
+            f"{config.n_antennas} antennas exceeds the exhaustive limit "
+            f"({EXHAUSTIVE_LIMIT}); using simulated annealing as the reference",
+            RuntimeWarning, stacklevel=3)
 
     tasks = [(kind, config, j, t) for j in range(n_points) for t in range(config.trials)]
     if config.workers == 1:

@@ -8,10 +8,18 @@ legitimate link's rate minus the eavesdropper's, not clamped at zero.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
+import numpy as np
+
+from . import coalitions
 from .channel import ChannelVector, effective_channel
 
 _INV_LN2 = 1.0 / math.log(2.0)
+
+# log1p arguments handed to math.log1p per batch, which bounds the
+# temporary Python list a large subset table needs
+_LOG1P_BATCH = 1 << 15
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -24,6 +32,12 @@ class LinkBudget:
 
     transmit_power_dbm: float
     noise_power_dbm: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.transmit_power_dbm):
+            raise ValueError(f"transmit power must be finite, got {self.transmit_power_dbm}")
+        if not math.isfinite(self.noise_power_dbm):
+            raise ValueError(f"noise power must be finite, got {self.noise_power_dbm}")
 
     @classmethod
     def from_scenario(cls, scenario, transmit_power_dbm: float) -> "LinkBudget":
@@ -74,6 +88,11 @@ class SecrecyEvaluator:
         self._n = len(self._hb)
         self._power_w = budget.transmit_power_w
         self._noise_w = budget.noise_power_w
+        # subset_values' inputs: coefficient parts, and rho by active count
+        self._coeffs = np.array([(b.real, b.imag, e.real, e.imag)
+                                 for b, e in zip(self._hb, self._he)], dtype=np.float64)
+        self._rho = np.array([0.0] + [self._power_w / (k * self._noise_w)
+                                      for k in range(1, self._n + 1)])
         self._sums: dict[int, tuple[complex, complex]] = {0: (0j, 0j)}
         self._memo: dict[int, float] = {0: 0.0}
 
@@ -113,6 +132,35 @@ class SecrecyEvaluator:
         rb = math.log1p(rho * (hb.real * hb.real + hb.imag * hb.imag)) * _INV_LN2
         re = math.log1p(rho * (he.real * he.real + he.imag * he.imag)) * _INV_LN2
         return rb, re
+
+    def subset_values(self, mask: int) -> np.ndarray:
+        """v over every subset of a mask, as one array of 2^|mask| entries.
+
+        Bit i of an index stands for the i-th lowest member of the mask, so
+        entry 0 is v(empty) = 0 and the last entry is v(mask).  The table is
+        built by doubling with members added from the highest index down,
+        the order channel_sums accumulates in, and every rate goes through
+        math.log1p as in link_rates, so each entry equals self(sub) bit for
+        bit.  Nothing is memoized; the build holds about 48 bytes per entry.
+        """
+        if mask < 0 or mask >= (1 << self._n):
+            raise ValueError("coalition mask out of range")
+        members = coalitions.members(mask)
+        size = len(members)
+        sums = np.zeros((1 << size, 4))     # bob re, bob im, eve re, eve im
+        for i in reversed(range(size)):
+            step = 1 << i
+            np.add(sums[::2 * step], self._coeffs[members[i]], out=sums[step::2 * step])
+        sums *= sums
+        gains = sums[:, 0::2] + sums[:, 1::2]   # |h|^2 of (bob, eve)
+        del sums
+        gains *= self._rho[coalitions.subset_sizes(size)][:, None]
+        flat = gains.reshape(-1)
+        rates = np.fromiter(chain.from_iterable(
+            map(math.log1p, flat[lo:lo + _LOG1P_BATCH].tolist())
+            for lo in range(0, flat.size, _LOG1P_BATCH)), np.float64, flat.size).reshape(-1, 2)
+        rates *= _INV_LN2
+        return rates[:, 0] - rates[:, 1]
 
     def __call__(self, mask: int) -> float:
         v = self._memo.get(mask)

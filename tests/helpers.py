@@ -1,4 +1,4 @@
-"""Shared test utilities: payoff oracle, alignment search, row grouping."""
+"""Shared test utilities: payoff oracles, alignment search, row grouping."""
 
 import itertools
 import math
@@ -6,6 +6,27 @@ import math
 import numpy as np
 
 from pinchsec import coalitions, total_phase
+from pinchsec.game import _subset_weights
+
+
+def loop_payoff(v, coalition, member):
+    """Exact payoff by walking every subset of the coalition without member.
+
+    Scalar reference for the table-based payoff: two v lookups per subset,
+    summed in descending-subset order.
+    """
+    bit = 1 << member
+    assert coalition & bit, "member must be in the coalition"
+    weights = _subset_weights(coalition.bit_count())
+    rest = coalition ^ bit
+    total = 0.0
+    sub = rest
+    while True:
+        total += weights[sub.bit_count()] * (v(sub | bit) - v(sub))
+        if not sub:
+            break
+        sub = (sub - 1) & rest
+    return total
 
 
 def permutation_payoff(table, members, member):

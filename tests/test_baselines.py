@@ -153,6 +153,21 @@ def test_annealing_rejects_empty_problem():
         simulated_annealing(lambda m: 0.0, 0)
 
 
+def test_annealing_runs_at_64_antennas():
+    *_, v = _drop_evaluator(seed=8, n=64)
+    mask, value = simulated_annealing(v, 64, AnnealingSchedule(1.0, 10), seed=1)
+    assert 1 <= mask < 1 << 64
+    assert value == v(mask)
+
+
+def test_annealing_refuses_65_antennas_before_drawing():
+    def v(mask):
+        raise AssertionError("no coalition should be scored")
+
+    with pytest.raises(ValueError, match="at most 64"):
+        simulated_annealing(v, 65, AnnealingSchedule(1.0, 10), seed=1)
+
+
 def test_annealing_best_trace_is_monotone():
     *_, v = _drop_evaluator(seed=6)
     trace = []

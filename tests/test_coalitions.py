@@ -17,13 +17,6 @@ def test_from_members_rejects_negative():
         coalitions.from_members([2, -1])
 
 
-def test_size():
-    assert coalitions.size(0) == 0
-    assert coalitions.size(0b1) == 1
-    assert coalitions.size(0b10110) == 3
-    assert coalitions.size((1 << 24) - 1) == 24
-
-
 def test_full_mask():
     assert coalitions.full_mask(1) == 1
     assert coalitions.full_mask(4) == 0b1111
@@ -45,5 +38,5 @@ def test_members_size_agree_on_random_masks():
         mask = rng.getrandbits(16)
         ms = coalitions.members(mask)
         assert coalitions.from_members(ms) == mask
-        assert coalitions.size(mask) == len(ms)
+        assert mask.bit_count() == len(ms)
         assert list(ms) == sorted(ms)

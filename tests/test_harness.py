@@ -19,6 +19,7 @@ from pinchsec import (
     run_power_sweep,
     write_outputs,
 )
+from pinchsec import harness
 from pinchsec.harness import apply_overrides, drop_seed, method_seed
 
 TINY = dict(trials=2, n_antennas=5, power_dbm_axis=(0.0, 10.0), antenna_axis=(3, 5))
@@ -44,6 +45,10 @@ def _row_key(row):
     {"shapley_cap": 0},
     {"sa_steps": -1},
     {"sa_initial_temperature": 0.0},
+    {"power_dbm_axis": (float("nan"),)},
+    {"power_dbm_axis": (0.0, float("inf"))},
+    {"power_dbm": float("nan")},
+    {"convergence_power_dbm": float("-inf")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -306,6 +311,26 @@ def test_convergence_beyond_the_exhaustive_limit_warns():
     assert result.reference_method == "annealing"
     assert {r.reference_method for r in result.rows} == {"annealing"}
     assert {r.method for r in result.rows} == {"shapley", "coalition-value", "annealing"}
+
+
+@pytest.mark.parametrize("study, kwargs", [
+    (run_convergence_study, {"n_antennas": 65}),
+    (run_power_sweep, {"n_antennas": 65, "methods": ("annealing",)}),
+    (run_antenna_sweep, {"antenna_axis": (5, 65), "methods": ("shapley", "annealing")}),
+])
+def test_annealing_past_64_antennas_is_refused_before_any_trial(monkeypatch, study, kwargs):
+    def no_trial(task):
+        raise AssertionError("no trial should run")
+
+    monkeypatch.setattr(harness, "_evaluate_trial", no_trial)
+    with pytest.raises(ValueError, match="at most 64"):
+        study(ExperimentConfig(trials=1, sa_steps=10, **kwargs))
+
+
+def test_studies_past_64_antennas_run_without_annealing():
+    config = ExperimentConfig(trials=1, n_antennas=65, power_dbm_axis=(10.0,),
+                              methods=("coalition-value",))
+    assert run_power_sweep(config).rows[0].coalition_size >= 1
 
 
 # --- file outputs ---------------------------------------------------------

@@ -51,6 +51,20 @@ def test_link_budget_from_scenario():
     assert budget.noise_power_w == pytest.approx(1e-12, rel=1e-15)
 
 
+@pytest.mark.parametrize("powers", [(float("nan"), -90.0), (10.0, float("nan")),
+                                    (float("inf"), -90.0), (10.0, float("-inf"))])
+def test_link_budget_rejects_non_finite_powers(powers):
+    with pytest.raises(ValueError, match="finite"):
+        LinkBudget(*powers)
+
+
+def test_nan_power_is_refused_before_any_game():
+    # a NaN budget used to make every v(S) NaN, so no strict comparison in
+    # the scan held and the game reported convergence on its start antenna
+    with pytest.raises(ValueError, match="finite"):
+        LinkBudget.from_scenario(Scenario(), transmit_power_dbm=float("nan"))
+
+
 def test_rate_matches_manual_formula():
     s, layout, budget = _golden_setup()
     vec = channel_vector(s, layout, GOLDEN_BOB)
