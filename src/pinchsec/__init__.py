@@ -7,40 +7,25 @@ merge/split game.  Exhaustive, annealing, value-greedy, and fixed-array
 baselines plus a seeded Monte Carlo harness round out the package.
 """
 
-from .baselines import (AnnealingSchedule, brute_force_optimum,
-                        brute_force_secrecy_optimum, coalition_value_activation,
-                        enumerate_secrecy_values, simulated_annealing,
-                        ula_secrecy_rate)
-from .channel import (ChannelVector, Wavelengths, channel_coefficient,
-                      channel_vector, effective_channel, phase_gap,
-                      total_phase, wavelengths)
-from .coalitions import from_members, full_mask, members
-from .game import (CapacityError, GameTrace, PayoffReport, TraceStep,
-                   closest_antenna, is_nash_stable, merge_candidate,
-                   outside_payoff, payoff_reports, run_activation,
-                   shapley_value, split_candidate)
-from .geometry import (AntennaLayout, Drop, Scenario, antenna_points,
-                       distance, sample_drop, uniform_layout)
-from .harness import (ExperimentConfig, ResultRow, StudyResult, aggregate_rows,
-                      config_from_ini, emit_csv, run_antenna_sweep,
+from . import coalitions
+from .baselines import (AnnealingSchedule, brute_force_secrecy_optimum,
+                        coalition_value_activation, enumerate_secrecy_values,
+                        simulated_annealing)
+from .channel import channel_vector, wavelengths
+from .game import CapacityError, payoff_reports, run_activation, shapley_value
+from .geometry import AntennaLayout, Scenario, sample_drop, uniform_layout
+from .harness import (ExperimentConfig, aggregate_rows, run_antenna_sweep,
                       run_convergence_study, run_power_sweep, write_outputs)
-from .secrecy import (LinkBudget, SecrecyEvaluator, dbm_to_watts, rate,
-                      secrecy_rate)
+from .secrecy import LinkBudget, SecrecyEvaluator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealingSchedule", "AntennaLayout", "CapacityError", "ChannelVector",
-    "Drop", "ExperimentConfig", "GameTrace", "LinkBudget", "PayoffReport",
-    "ResultRow", "Scenario", "SecrecyEvaluator", "StudyResult", "TraceStep",
-    "Wavelengths", "aggregate_rows", "antenna_points", "brute_force_optimum",
-    "brute_force_secrecy_optimum", "channel_coefficient", "channel_vector",
-    "closest_antenna", "coalition_value_activation", "config_from_ini",
-    "dbm_to_watts", "distance", "effective_channel", "emit_csv",
-    "enumerate_secrecy_values", "from_members", "full_mask", "is_nash_stable",
-    "members", "merge_candidate", "outside_payoff", "payoff_reports",
-    "phase_gap", "rate", "run_activation", "run_antenna_sweep",
-    "run_convergence_study", "run_power_sweep", "sample_drop", "secrecy_rate",
-    "shapley_value", "simulated_annealing", "split_candidate", "total_phase",
-    "ula_secrecy_rate", "uniform_layout", "wavelengths", "write_outputs",
+    "AnnealingSchedule", "AntennaLayout", "CapacityError", "ExperimentConfig",
+    "LinkBudget", "Scenario", "SecrecyEvaluator", "aggregate_rows",
+    "brute_force_secrecy_optimum", "channel_vector", "coalition_value_activation",
+    "coalitions", "enumerate_secrecy_values", "payoff_reports", "run_activation",
+    "run_antenna_sweep", "run_convergence_study", "run_power_sweep", "sample_drop",
+    "shapley_value", "simulated_annealing", "uniform_layout", "wavelengths",
+    "write_outputs",
 ]

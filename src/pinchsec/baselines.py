@@ -1,8 +1,7 @@
 """Reference strategies the activation game is measured against.
 
 * exhaustive search over every nonempty antenna subset (exact optimum),
-  both a generic callable-based version and a vectorized one specialised
-  to secrecy rates;
+  from the evaluator's table of every mask's secrecy rate;
 * simulated annealing over subsets (scales past the exhaustive limit);
 * a value-only variant of the activation scan that moves on raw coalition
   value changes instead of payoff comparisons;
@@ -15,94 +14,59 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelVector, channel_vector, wavelengths
+from .channel import wavelengths
+from .coalitions import ENUMERATION_CAP
 from .game import (DEFAULT_MAX_CYCLES, CapacityError, GameTrace,
                    ValueFunction, _merge_split_scan, closest_antenna)
 from .geometry import AntennaLayout, Drop, Scenario
-from .secrecy import LinkBudget, _rate_from_mag2
-
-BRUTE_FORCE_CAP = 24
+from .secrecy import _INV_LN2, LinkBudget, SecrecyEvaluator
 
 # annealing draws its start as one unsigned 64-bit mask
 ANNEALING_MAX_ANTENNAS = 64
 
 
-def brute_force_optimum(v: ValueFunction, n_antennas: int) -> tuple[int, float]:
-    """Best nonempty coalition by direct enumeration of all 2^N - 1 masks.
+def _exhaustive(bob_coeffs, eve_coeffs, budget: LinkBudget) -> tuple[SecrecyEvaluator, np.ndarray]:
+    """An evaluator for the drop and its secrecy rate of every coalition,
+    indexed by mask, with entry 0 (the empty mask) at -inf.
 
-    Ties keep the smallest mask.  Guarded at 24 antennas; beyond that use
-    the vectorized secrecy enumeration or annealing.
+    Rates go through numpy's log1p, which may differ from math.log1p in the
+    last bit, so the table ranks masks and link_rates scores the one chosen.
     """
-    if n_antennas < 1:
+    evaluator = SecrecyEvaluator(bob_coeffs, eve_coeffs, budget)
+    n = evaluator.n_antennas
+    if n < 1:
         raise ValueError("need at least one antenna")
-    if n_antennas > BRUTE_FORCE_CAP:
-        raise CapacityError(
-            f"{n_antennas} antennas means {2 ** n_antennas - 1} coalitions; cap is {BRUTE_FORCE_CAP}")
-    best_mask = 1
-    best_value = v(1)
-    for mask in range(2, 1 << n_antennas):
-        value = v(mask)
-        if value > best_value:
-            best_mask, best_value = mask, value
-    return best_mask, best_value
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"2^{n} coalition table exceeds the enumeration cap")
+    rates = evaluator._gains(range(n))
+    np.log1p(rates, out=rates)
+    rates *= _INV_LN2
+    values = rates[:, 0] - rates[:, 1]
+    values[0] = -np.inf
+    return evaluator, values
 
 
 def enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget: LinkBudget) -> np.ndarray:
     """Secrecy rate of every coalition, indexed by mask.
 
-    Builds the 2^N tables by doubling: masks [2^k, 2^(k+1)) are the masks
-    below 2^k plus antenna k, so each block is the previous block shifted
-    by one channel coefficient.  Entry 0 (empty mask) is -inf so argmax
-    never picks it.
+    Channels are ChannelVectors or plain coefficient arrays of equal
+    length.  Entry 0 (empty mask) is -inf so argmax never picks it.
     """
-    hb = np.asarray(bob_coeffs.coefficients if isinstance(bob_coeffs, ChannelVector) else bob_coeffs,
-                    dtype=np.complex128)
-    he = np.asarray(eve_coeffs.coefficients if isinstance(eve_coeffs, ChannelVector) else eve_coeffs,
-                    dtype=np.complex128)
-    if hb.shape != he.shape or hb.ndim != 1:
-        raise ValueError("need matching 1-d channel vectors")
-    n = hb.size
-    if n < 1:
-        raise ValueError("need at least one antenna")
-    if n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"2^{n} coalition table exceeds the enumeration cap")
-    total = 1 << n
-    sum_b = np.zeros(total, dtype=np.complex128)
-    sum_e = np.zeros(total, dtype=np.complex128)
-    sizes = np.zeros(total, dtype=np.uint8)
-    for k in range(n):
-        half = 1 << k
-        sum_b[half:2 * half] = sum_b[:half] + hb[k]
-        sum_e[half:2 * half] = sum_e[:half] + he[k]
-        sizes[half:2 * half] = sizes[:half] + 1
-    sizes[0] = 1  # dummy, avoids dividing by zero on the discarded entry
-    ratio = budget.transmit_power_w / (sizes.astype(np.float64) * budget.noise_power_w)
-    gain_b = sum_b.real ** 2 + sum_b.imag ** 2
-    gain_e = sum_e.real ** 2 + sum_e.imag ** 2
-    values = np.log2(1.0 + ratio * gain_b) - np.log2(1.0 + ratio * gain_e)
-    values[0] = -np.inf
-    return values
+    return _exhaustive(bob_coeffs, eve_coeffs, budget)[1]
 
 
 def brute_force_secrecy_optimum(bob_coeffs, eve_coeffs,
                                 budget: LinkBudget) -> tuple[int, float, float, float]:
     """Exact best coalition for the secrecy objective.
 
-    Returns (mask, secrecy rate, user rate, eavesdropper rate).  np.argmax
-    returns the first maximum, which under the doubling construction is
-    the smallest mask, matching brute_force_optimum's tie rule.
+    Returns (mask, secrecy rate, user rate, eavesdropper rate), the rates
+    from the evaluator's link_rates.  np.argmax returns the first maximum,
+    so ties keep the smallest mask.
     """
-    values = enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget)
+    evaluator, values = _exhaustive(bob_coeffs, eve_coeffs, budget)
     mask = int(np.argmax(values))
-    hb = np.asarray(bob_coeffs.coefficients if isinstance(bob_coeffs, ChannelVector) else bob_coeffs,
-                    dtype=np.complex128)
-    he = np.asarray(eve_coeffs.coefficients if isinstance(eve_coeffs, ChannelVector) else eve_coeffs,
-                    dtype=np.complex128)
-    members = [i for i in range(hb.size) if mask >> i & 1]
-    k = len(members)
-    rb = _rate_from_mag2(abs(hb[members].sum()) ** 2, k, budget)
-    re = _rate_from_mag2(abs(he[members].sum()) ** 2, k, budget)
-    return mask, float(values[mask]), rb, re
+    rb, re = evaluator.link_rates(mask)
+    return mask, rb - re, rb, re
 
 
 @dataclass(frozen=True)
@@ -228,8 +192,7 @@ def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
         phase = np.mod(2.0 * np.pi * d / wl.free_space, 2.0 * np.pi)
         return (wl.amplitude_factor / d) * np.exp(-1j * phase)
 
-    hb = coeffs(drop.bob)
-    he = coeffs(drop.eve)
-    rb = _rate_from_mag2(abs(hb.sum()) ** 2, n_antennas, budget)
-    re = _rate_from_mag2(abs(he.sum()) ** 2, n_antennas, budget)
+    rho = budget.transmit_power_w / (n_antennas * budget.noise_power_w)
+    rb = math.log1p(rho * abs(coeffs(drop.bob).sum()) ** 2) * _INV_LN2
+    re = math.log1p(rho * abs(coeffs(drop.eve).sum()) ** 2) * _INV_LN2
     return rb, re, rb - re

@@ -11,14 +11,13 @@ eta = c / (4*pi*f_c) is the free-space amplitude scale, lambda_g the
 in-waveguide wavelength.  Waveguide propagation loss is not modeled.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import AntennaLayout, Scenario, distance
+from .geometry import AntennaLayout, Scenario
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -53,33 +52,14 @@ class ChannelVector:
         return len(self.coefficients)
 
 
-def _legs(scenario: Scenario, layout: AntennaLayout, receiver, n: int) -> tuple[float, float]:
-    if not 0 <= n < layout.n_antennas:
-        raise IndexError(f"antenna index {n} out of range")
-    x_n = layout.positions_x[n]
-    free = distance(receiver, (x_n, 0.0, scenario.waveguide_height))
-    feed = abs(scenario.feed_point_x - x_n)
-    return free, feed
-
-
-def total_phase(scenario: Scenario, layout: AntennaLayout, receiver, n: int) -> float:
-    """Unwrapped total phase (radians, >= 0) accrued on both legs."""
-    lam, lam_g, _ = wavelengths(scenario)
-    free, feed = _legs(scenario, layout, receiver, n)
-    return TWO_PI * (free / lam + feed / lam_g)
-
-
-def channel_coefficient(scenario: Scenario, layout: AntennaLayout, receiver, n: int) -> complex:
-    """Complex coefficient between antenna n and the receiver."""
-    lam, lam_g, eta = wavelengths(scenario)
-    free, feed = _legs(scenario, layout, receiver, n)
-    # reduce mod 2*pi once, before exp, so long paths do not wrap repeatedly
-    phase = math.fmod(TWO_PI * (free / lam + feed / lam_g), TWO_PI)
-    return (eta / free) * cmath.exp(-1j * phase)
-
-
 def channel_vector(scenario: Scenario, layout: AntennaLayout, receiver) -> ChannelVector:
-    """Coefficients for every antenna in the layout at one receiver."""
+    """Coefficients for every antenna in the layout at one receiver.
+
+    Every antenna must lie on the waveguide, in [0, waveguide_length].
+    """
+    if layout.positions_x[-1] > scenario.waveguide_length:
+        raise ValueError(f"antenna at x = {layout.positions_x[-1]} lies past the end of "
+                         f"the {scenario.waveguide_length} m waveguide")
     lam, lam_g, eta = wavelengths(scenario)
     pos = np.asarray(layout.positions_x)
     r = np.asarray(receiver, dtype=float)
@@ -88,34 +68,3 @@ def channel_vector(scenario: Scenario, layout: AntennaLayout, receiver) -> Chann
     phase = np.fmod(TWO_PI * (free / lam + feed / lam_g), TWO_PI)
     coeffs = (eta / free) * np.exp(-1j * phase)
     return ChannelVector(coefficients=coeffs, wavelength=lam, guided_wavelength=lam_g)
-
-
-def effective_channel(channels: ChannelVector, coalition: int) -> complex:
-    """Coherent sum of the active antennas' coefficients.
-
-    The coalition is a bit mask; it must activate at least one antenna.
-    """
-    if coalition == 0:
-        raise ValueError("at least one antenna must be active")
-    if coalition < 0 or coalition >= (1 << channels.n_antennas):
-        raise ValueError("coalition mask out of range")
-    total = 0j
-    mask = coalition
-    coeffs = channels.coefficients
-    while mask:
-        low = mask & -mask
-        total += complex(coeffs[low.bit_length() - 1])
-        mask ^= low
-    return total
-
-
-def phase_gap(scenario: Scenario, layout: AntennaLayout, receiver, n: int, n_other: int) -> float:
-    """Pairwise total-phase difference reduced to [0, 2*pi).
-
-    Gap 0 means the two antennas add constructively at the receiver;
-    gap pi means they cancel.
-    """
-    if n == n_other:
-        raise ValueError("phase gap needs two distinct antennas")
-    gap = total_phase(scenario, layout, receiver, n) - total_phase(scenario, layout, receiver, n_other)
-    return gap % TWO_PI

@@ -12,15 +12,11 @@ import sys
 import numpy as np
 
 from . import coalitions
-from .baselines import brute_force_secrecy_optimum, coalition_value_activation
-from .channel import channel_vector
-from .game import closest_antenna, payoff_reports, run_activation
-from .geometry import sample_drop, uniform_layout
-from .harness import (EXHAUSTIVE_LIMIT, METHODS, ExperimentConfig,
-                      apply_overrides, config_from_ini, drop_seed,
-                      run_antenna_sweep, run_convergence_study,
-                      run_power_sweep, write_outputs)
-from .secrecy import LinkBudget, SecrecyEvaluator
+from .coalitions import ENUMERATION_CAP
+from .game import payoff_reports
+from .harness import (METHODS, ExperimentConfig, apply_overrides, build_trial,
+                      config_from_ini, run_antenna_sweep,
+                      run_convergence_study, run_power_sweep, write_outputs)
 
 
 def _parse_floats(text: str) -> tuple:
@@ -99,14 +95,9 @@ def _cmd_single_drop(args) -> int:
     config = _build_config(args, "single-drop")
     scenario = config.scenario
     n = config.n_antennas
-    power = config.power_dbm if getattr(args, "power", None) is None else args.power
-    seq = drop_seed(config.master_seed, 0, args.trial)
-    drop = sample_drop(scenario, np.random.default_rng(seq))
-    layout = uniform_layout(scenario, n)
-    bob_channels = channel_vector(scenario, layout, drop.bob)
-    eve_channels = channel_vector(scenario, layout, drop.eve)
-    budget = LinkBudget(power, scenario.noise_power_dbm)
-    evaluator = SecrecyEvaluator(bob_channels, eve_channels, budget)
+    power = config.power_dbm if args.power is None else args.power
+    trial = build_trial(config, 0, args.trial, n, power)
+    drop = trial.drop
 
     print(f"seed {config.master_seed}, trial {args.trial}: "
           f"N={n}, P_t={power:g} dBm, noise {scenario.noise_power_dbm:g} dBm")
@@ -114,19 +105,18 @@ def _cmd_single_drop(args) -> int:
     print(f"  eve at ({drop.eve[0]:.4f}, {drop.eve[1]:+.4f}, 0)")
     print()
     print("   n     x_n      |h_bob|   arg_bob     |h_eve|   arg_eve")
-    for i, x in enumerate(layout.positions_x):
-        hb = bob_channels.coefficients[i]
-        he = eve_channels.coefficients[i]
+    for i, x in enumerate(trial.layout.positions_x):
+        hb = trial.bob_channels.coefficients[i]
+        he = trial.eve_channels.coefficients[i]
         print(f"  {i:2d}  {x:7.4f}  {abs(hb):.4e}  {np.angle(hb):+8.4f}"
               f"  {abs(he):.4e}  {np.angle(he):+8.4f}")
     print()
 
-    start = closest_antenna(layout, drop.bob)
-    rb, re = evaluator.link_rates(1 << start)
-    print(f"initial antenna {start} (closest to bob): secrecy {rb - re:.6f}"
-          f"  (bob {rb:.6f}, eve {re:.6f})")
-    mask, trace = run_activation(evaluator, layout, drop.bob,
-                                 max_cycles=config.max_cycles, cap=config.shapley_cap)
+    start = METHODS["initial-single-antenna"].run(trial)
+    print(f"initial antenna {start.mask.bit_length() - 1} (closest to bob): "
+          f"secrecy {start.secrecy_rate:.6f}  (bob {start.bob_rate:.6f}, eve {start.eve_rate:.6f})")
+    game = METHODS["shapley"].run(trial)
+    trace = game.trace
     print(f"payoff-driven activation ({'converged' if trace.converged else 'cycle cap hit'}, "
           f"{trace.cycles_used} cycles, {len(trace.steps)} antenna examinations):")
     for step in trace.steps:
@@ -134,24 +124,20 @@ def _cmd_single_drop(args) -> int:
             print(f"  cycle {step.cycle}: antenna {step.antenna} {step.action:5s} "
                   f"-> {{{', '.join(str(m) for m in coalitions.members(step.coalition))}}}"
                   f"  v={step.value:.6f}")
-    rb, re = evaluator.link_rates(mask)
-    print(f"  final coalition {sorted(coalitions.members(mask))}: secrecy {rb - re:.6f}"
-          f"  (bob {rb:.6f}, eve {re:.6f})")
+    print(f"  final coalition {sorted(coalitions.members(game.mask))}: "
+          f"secrecy {game.secrecy_rate:.6f}  (bob {game.bob_rate:.6f}, eve {game.eve_rate:.6f})")
     print("  payoffs at the final coalition:")
-    for report in payoff_reports(evaluator, mask, n, cap=config.shapley_cap):
+    for report in payoff_reports(trial.evaluator, game.mask, n, cap=config.shapley_cap):
         where = "in " if report.in_coalition else "out"
         print(f"    antenna {report.antenna:2d} [{where}] {report.kind:8s} {report.payoff:+.6f}")
 
-    cv_mask, _ = coalition_value_activation(evaluator, layout, drop.bob,
-                                            max_cycles=config.max_cycles)
-    rb, re = evaluator.link_rates(cv_mask)
-    print(f"value-driven activation: coalition {sorted(coalitions.members(cv_mask))} "
-          f"secrecy {rb - re:.6f}")
-    if n <= EXHAUSTIVE_LIMIT:
-        best_mask, best_value, rb, re = brute_force_secrecy_optimum(
-            bob_channels, eve_channels, budget)
-        print(f"exhaustive optimum: coalition {sorted(coalitions.members(best_mask))} "
-              f"secrecy {best_value:.6f}  (bob {rb:.6f}, eve {re:.6f})")
+    greedy = METHODS["coalition-value"].run(trial)
+    print(f"value-driven activation: coalition {sorted(coalitions.members(greedy.mask))} "
+          f"secrecy {greedy.secrecy_rate:.6f}")
+    if n <= ENUMERATION_CAP:
+        best = METHODS["brute-force"].run(trial)
+        print(f"exhaustive optimum: coalition {sorted(coalitions.members(best.mask))} "
+              f"secrecy {best.secrecy_rate:.6f}  (bob {best.bob_rate:.6f}, eve {best.eve_rate:.6f})")
     return 0
 
 

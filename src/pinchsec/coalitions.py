@@ -4,11 +4,16 @@ Bit n set means antenna n (0-based) is active.  Masks index directly into
 value tables of length 2**N, which keeps subset enumeration cheap.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-# subset_sizes keeps its arrays up to this member count (64 KiB at 16)
+# the one cap on subset enumeration: a payoff table over a coalition's
+# subsets and the exhaustive table over every mask hold 2^N entries each
+ENUMERATION_CAP = 24
+
+# subset_sizes and bit_reversal keep their arrays up to this member count
+# (64 KiB and 512 KiB at 16)
 _CACHED_SIZES = 16
 
 
@@ -44,23 +49,41 @@ def validate(mask: int, n_antennas: int) -> None:
         raise ValueError(f"coalition mask {mask} out of range for {n_antennas} antennas")
 
 
-def _subset_sizes(n_members: int) -> np.ndarray:
-    sizes = np.zeros(1 << n_members, dtype=np.uint8)
-    for i in range(n_members):
-        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
-    sizes.flags.writeable = False
-    return sizes
+def _doubling(n_members: int, dtype, step) -> np.ndarray:
+    """Read-only array over 0 .. 2**n_members - 1 with entry i + 2**k equal
+    to entry i plus step(k) for every i below 2**k."""
+    out = np.zeros(1 << n_members, dtype=dtype)
+    for k in range(n_members):
+        out[1 << k:2 << k] = out[:1 << k] + step(k)
+    out.flags.writeable = False
+    return out
 
 
-_cached_subset_sizes = lru_cache(maxsize=None)(_subset_sizes)
+def _cache_small(build):
+    """Keep build(n) for n up to _CACHED_SIZES; build larger arrays afresh."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def lookup(n_members: int) -> np.ndarray:
+        return cached(n_members) if n_members <= _CACHED_SIZES else build(n_members)
+    return lookup
 
 
+@_cache_small
 def subset_sizes(n_members: int) -> np.ndarray:
     """Bit count of every index 0 .. 2**n_members - 1, as a read-only array.
 
     Index i of a subset table over n_members members is the subset whose
     members are the set bits of i, so this is the size of every subset.
     """
-    if n_members <= _CACHED_SIZES:
-        return _cached_subset_sizes(n_members)
-    return _subset_sizes(n_members)
+    return _doubling(n_members, np.uint8, lambda k: 1)
+
+
+@_cache_small
+def bit_reversal(n_members: int) -> np.ndarray:
+    """Every index 0 .. 2**n_members - 1 with its n_members bits reversed.
+
+    Taking a subset table through it swaps the member order its bits stand
+    for, highest first against lowest first; reversal is its own inverse.
+    """
+    return _doubling(n_members, np.intp, lambda k: 1 << (n_members - 1 - k))

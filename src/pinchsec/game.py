@@ -34,11 +34,11 @@ from typing import Callable
 import numpy as np
 
 from . import coalitions
+from .coalitions import ENUMERATION_CAP
 from .geometry import AntennaLayout
 
 ValueFunction = Callable[[int], float]
 
-DEFAULT_SHAPLEY_CAP = 24
 DEFAULT_MAX_CYCLES = 100
 
 
@@ -124,7 +124,7 @@ def _local_index(coalition: int, antenna: int) -> int:
 
 
 def shapley_value(v: ValueFunction, coalition: int, member: int,
-                  cap: int = DEFAULT_SHAPLEY_CAP) -> float:
+                  cap: int = ENUMERATION_CAP) -> float:
     """Exact payoff of a coalition member under value function v.
 
     Builds the coalition's whole subset table; scoring several members of
@@ -177,7 +177,7 @@ def _leaves(v: ValueFunction, coalition: int, antenna: int, payoff) -> bool:
 
 
 def merge_candidate(v: ValueFunction, coalition: int, antenna: int,
-                    cap: int = DEFAULT_SHAPLEY_CAP) -> bool:
+                    cap: int = ENUMERATION_CAP) -> bool:
     """True if an outsider strictly gains by joining; ties mean no move.
 
     The inside payoff is evaluated in the coalition it would join.
@@ -188,7 +188,7 @@ def merge_candidate(v: ValueFunction, coalition: int, antenna: int,
 
 
 def split_candidate(v: ValueFunction, coalition: int, antenna: int,
-                    cap: int = DEFAULT_SHAPLEY_CAP) -> bool:
+                    cap: int = ENUMERATION_CAP) -> bool:
     """True if a member strictly gains by leaving; singletons never split."""
     if not coalition & (1 << antenna):
         raise ValueError(f"antenna {antenna} is not in the coalition")
@@ -237,7 +237,7 @@ class PayoffReport:
 
 
 def payoff_reports(v: ValueFunction, coalition: int, n_antennas: int,
-                   cap: int = DEFAULT_SHAPLEY_CAP) -> list[PayoffReport]:
+                   cap: int = ENUMERATION_CAP) -> list[PayoffReport]:
     """Score every antenna against the given coalition."""
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
@@ -296,7 +296,7 @@ def _merge_split_scan(v: ValueFunction, n_antennas: int, start: int,
 
 def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
                    max_cycles: int = DEFAULT_MAX_CYCLES,
-                   cap: int = DEFAULT_SHAPLEY_CAP,
+                   cap: int = ENUMERATION_CAP,
                    scan_rng=None) -> tuple[int, GameTrace]:
     """Payoff-driven activation starting from the antenna closest to the user.
 
@@ -320,7 +320,7 @@ def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
 
 
 def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int,
-                   cap: int = DEFAULT_SHAPLEY_CAP) -> bool:
+                   cap: int = ENUMERATION_CAP) -> bool:
     """True if no single antenna gains by unilaterally joining or leaving.
 
     Outsiders must not prefer joining; members must not prefer leaving.

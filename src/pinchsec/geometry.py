@@ -7,7 +7,8 @@ rectangle straddles the waveguide (y in [-region_y/2, region_y/2]); an
 optional one-sided mode uses y in [0, region_y] instead.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class Scenario:
     one_sided_region: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.region_x <= 0 or self.region_y <= 0:
             raise ValueError("region dimensions must be positive")
         if self.waveguide_height <= 0:
@@ -71,6 +76,8 @@ class AntennaLayout:
         object.__setattr__(self, "positions_x", tuple(float(x) for x in self.positions_x))
         if len(self.positions_x) < 1:
             raise ValueError("layout needs at least one antenna")
+        if not all(math.isfinite(x) for x in self.positions_x):
+            raise ValueError(f"antenna positions must be finite, got {self.positions_x}")
         if any(b <= a for a, b in zip(self.positions_x, self.positions_x[1:])):
             raise ValueError("antenna positions must be strictly increasing")
         if self.positions_x[0] < 0.0:

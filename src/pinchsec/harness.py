@@ -26,6 +26,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -34,27 +35,11 @@ from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule,
                         brute_force_secrecy_optimum,
                         coalition_value_activation, simulated_annealing,
                         ula_secrecy_rate)
-from .channel import channel_vector
-from .game import (DEFAULT_MAX_CYCLES, DEFAULT_SHAPLEY_CAP, closest_antenna,
-                   run_activation)
-from .geometry import Scenario, sample_drop, uniform_layout
+from .channel import ChannelVector, channel_vector
+from .coalitions import ENUMERATION_CAP
+from .game import DEFAULT_MAX_CYCLES, GameTrace, closest_antenna, run_activation
+from .geometry import AntennaLayout, Drop, Scenario, sample_drop, uniform_layout
 from .secrecy import LinkBudget, SecrecyEvaluator
-
-METHODS = ("initial-single-antenna", "shapley", "coalition-value",
-           "brute-force", "annealing", "fixed-ula")
-
-# fixed stream ids so adding or renaming list entries never shifts the
-# random draws of an existing method
-_METHOD_SEED_IDS = {
-    "initial-single-antenna": 1,
-    "shapley": 2,
-    "coalition-value": 3,
-    "brute-force": 4,
-    "annealing": 5,
-    "fixed-ula": 6,
-}
-
-EXHAUSTIVE_LIMIT = 24
 
 DEFAULT_METHODS = ("initial-single-antenna", "shapley", "coalition-value", "fixed-ula")
 CONVERGENCE_METHODS = ("shapley", "coalition-value")
@@ -62,24 +47,27 @@ CONVERGENCE_METHODS = ("shapley", "coalition-value")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a study run needs; unused axes are simply ignored."""
+    """Everything a study run needs; unused axes are simply ignored.
+
+    Fields sit in the order the configuration echo writes them.
+    """
 
     scenario: Scenario = Scenario()
-    power_dbm_axis: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    antenna_axis: tuple = (5, 10, 15, 20)
+    power_dbm_axis: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    antenna_axis: tuple[int, ...] = (5, 10, 15, 20)
     n_antennas: int = 20
     power_dbm: float = 10.0              # fixed power for the antenna sweep
     convergence_power_dbm: float = 20.0
     trials: int = 500
     master_seed: int = 1
-    methods: tuple = DEFAULT_METHODS
+    max_cycles: int = DEFAULT_MAX_CYCLES
+    shapley_cap: int = ENUMERATION_CAP
+    timing: bool = False
+    methods: tuple[str, ...] = DEFAULT_METHODS
     out_dir: str = None
     workers: int = 1
-    max_cycles: int = DEFAULT_MAX_CYCLES
-    shapley_cap: int = DEFAULT_SHAPLEY_CAP
     sa_steps: int = 1_000_000
     sa_initial_temperature: float = 1.0
-    timing: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -101,7 +89,7 @@ class ExperimentConfig:
             raise ValueError("need at least one method")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+            raise ValueError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method names")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -110,8 +98,9 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
-        if self.shapley_cap < 1:
-            raise ValueError("shapley_cap must be at least 1")
+        if not 1 <= self.shapley_cap <= ENUMERATION_CAP:
+            raise ValueError(f"shapley_cap must be in 1..{ENUMERATION_CAP}, "
+                             f"got {self.shapley_cap}")
         if self.sa_steps < 0:
             raise ValueError("sa_steps must be nonnegative")
         if self.sa_initial_temperature <= 0:
@@ -158,113 +147,171 @@ def drop_seed(master_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSeq
 
 def method_seed(master_seed: int, sweep_idx: int, trial: int, method: str) -> np.random.SeedSequence:
     """Seed for a method's own randomness, independent of the drop stream."""
-    return np.random.SeedSequence([master_seed, sweep_idx, trial, _METHOD_SEED_IDS[method]])
+    return np.random.SeedSequence([master_seed, sweep_idx, trial, METHODS[method].stream_id])
 
 
-def _seed_fingerprint(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, np.uint64)[0])
+class Trial(NamedTuple):
+    """One drop and everything the methods of its trial share."""
+
+    config: ExperimentConfig
+    sweep_idx: int
+    trial_idx: int
+    seed: int                   # fingerprint of the drop stream
+    drop: Drop
+    layout: AntennaLayout
+    bob_channels: ChannelVector
+    eve_channels: ChannelVector
+    budget: LinkBudget
+    evaluator: SecrecyEvaluator
 
 
-def _sweep_point(kind: str, config: ExperimentConfig, sweep_idx: int):
-    """(sweep value for the row, antenna count, transmit power dBm)."""
+def build_trial(config: ExperimentConfig, sweep_idx: int, trial_idx: int,
+                n_antennas: int, power_dbm: float) -> Trial:
+    """Draw a trial's drop and build its channels and coalition value."""
+    scenario = config.scenario
+    seq = drop_seed(config.master_seed, sweep_idx, trial_idx)
+    fingerprint = int(seq.generate_state(1, np.uint64)[0])
+    drop = sample_drop(scenario, np.random.default_rng(seq))
+    layout = uniform_layout(scenario, n_antennas)
+    bob_channels = channel_vector(scenario, layout, drop.bob)
+    eve_channels = channel_vector(scenario, layout, drop.eve)
+    budget = LinkBudget(power_dbm, scenario.noise_power_dbm)
+    return Trial(config, sweep_idx, trial_idx, fingerprint, drop, layout, bob_channels,
+                 eve_channels, budget, SecrecyEvaluator(bob_channels, eve_channels, budget))
+
+
+class Outcome(NamedTuple):
+    """What one method chose on one trial."""
+
+    mask: int
+    bob_rate: float
+    eve_rate: float
+    iterations: int
+    trace: GameTrace = None     # the scan's trace, for the two games
+
+    @property
+    def secrecy_rate(self) -> float:
+        return self.bob_rate - self.eve_rate
+
+
+def _scored(trial: Trial, mask: int, iterations: int = 0, trace: GameTrace = None) -> Outcome:
+    return Outcome(mask, *trial.evaluator.link_rates(mask), iterations, trace)
+
+
+# The runners below call the baselines and the game through this module's
+# names at call time, so replacing one of those names reaches every study.
+
+def _initial_single_antenna(trial: Trial) -> Outcome:
+    return _scored(trial, 1 << closest_antenna(trial.layout, trial.drop.bob))
+
+
+def _shapley(trial: Trial) -> Outcome:
+    mask, trace = run_activation(trial.evaluator, trial.layout, trial.drop.bob,
+                                 max_cycles=trial.config.max_cycles,
+                                 cap=trial.config.shapley_cap)
+    return _scored(trial, mask, len(trace.steps), trace)
+
+
+def _coalition_value(trial: Trial) -> Outcome:
+    mask, trace = coalition_value_activation(trial.evaluator, trial.layout, trial.drop.bob,
+                                             max_cycles=trial.config.max_cycles)
+    return _scored(trial, mask, len(trace.steps), trace)
+
+
+def _brute_force(trial: Trial) -> Outcome:
+    mask, _, bob_rate, eve_rate = brute_force_secrecy_optimum(
+        trial.bob_channels, trial.eve_channels, trial.budget)
+    return Outcome(mask, bob_rate, eve_rate, (1 << trial.layout.n_antennas) - 1)
+
+
+def _annealing(trial: Trial) -> Outcome:
+    config = trial.config
+    mask, _ = simulated_annealing(
+        trial.evaluator, trial.layout.n_antennas,
+        AnnealingSchedule(config.sa_initial_temperature, config.sa_steps),
+        seed=method_seed(config.master_seed, trial.sweep_idx, trial.trial_idx, "annealing"))
+    return _scored(trial, mask, config.sa_steps)
+
+
+def _fixed_ula(trial: Trial) -> Outcome:
+    n = trial.layout.n_antennas
+    bob_rate, eve_rate, _ = ula_secrecy_rate(trial.config.scenario, trial.drop, n, trial.budget)
+    return Outcome(coalitions.full_mask(n), bob_rate, eve_rate, 0)
+
+
+class Method(NamedTuple):
+    stream_id: int              # fixed, so a new or renamed method never
+                                # shifts the random draws of an existing one
+    run: Callable[[Trial], Outcome]
+
+
+METHODS = {
+    "initial-single-antenna": Method(1, _initial_single_antenna),
+    "shapley": Method(2, _shapley),
+    "coalition-value": Method(3, _coalition_value),
+    "brute-force": Method(4, _brute_force),
+    "annealing": Method(5, _annealing),
+    "fixed-ula": Method(6, _fixed_ula),
+}
+
+
+def _study_points(kind: str, config: ExperimentConfig) -> list[tuple]:
+    """(sweep value for the rows, antenna count, transmit power dBm) per sweep point."""
     if kind == "power":
-        power = float(config.power_dbm_axis[sweep_idx])
-        return power, config.n_antennas, power
+        return [(float(p), config.n_antennas, float(p)) for p in config.power_dbm_axis]
     if kind == "antenna":
-        n = int(config.antenna_axis[sweep_idx])
-        return float(n), n, config.power_dbm
+        return [(float(n), int(n), config.power_dbm) for n in config.antenna_axis]
     if kind == "convergence":
-        return float(config.convergence_power_dbm), config.n_antennas, config.convergence_power_dbm
+        return [(float(config.convergence_power_dbm), config.n_antennas,
+                 config.convergence_power_dbm)]
     raise ValueError(f"unknown study kind {kind!r}")
+
+
+def _reference_method(config: ExperimentConfig) -> str:
+    """The convergence study's optimum: exhaustive up to the cap, annealing past it."""
+    return "brute-force" if config.n_antennas <= ENUMERATION_CAP else "annealing"
+
+
+def _result_row(method: str, sweep_value: float, trial: Trial, outcome: Outcome,
+                elapsed: float) -> ResultRow:
+    secrecy = outcome.secrecy_rate
+    return ResultRow(
+        method=method, sweep_value=sweep_value, trial=trial.trial_idx, seed=trial.seed,
+        secrecy_rate=secrecy, secrecy_rate_clamped=max(secrecy, 0.0),
+        bob_rate=outcome.bob_rate, eve_rate=outcome.eve_rate,
+        coalition_mask=outcome.mask, coalition_size=outcome.mask.bit_count(),
+        iterations=outcome.iterations, wall_time_s=elapsed)
 
 
 def _evaluate_trial(args) -> tuple[list, list]:
     """Run every configured method on one drop.  Top level so it pickles."""
-    kind, config, sweep_idx, trial = args
-    sweep_value, n, power = _sweep_point(kind, config, sweep_idx)
-    scenario = config.scenario
-    seq = drop_seed(config.master_seed, sweep_idx, trial)
-    fingerprint = _seed_fingerprint(seq)
-    drop = sample_drop(scenario, np.random.default_rng(seq))
-    layout = uniform_layout(scenario, n)
-    bob_channels = channel_vector(scenario, layout, drop.bob)
-    eve_channels = channel_vector(scenario, layout, drop.eve)
-    budget = LinkBudget(power, scenario.noise_power_dbm)
-    evaluator = SecrecyEvaluator(bob_channels, eve_channels, budget)
-
-    methods = CONVERGENCE_METHODS if kind == "convergence" else config.methods
-
+    kind, config, sweep_idx, trial_idx = args
+    sweep_value, n, power = _study_points(kind, config)[sweep_idx]
+    trial = build_trial(config, sweep_idx, trial_idx, n, power)
     rows = []
     traces = {}
-    for method in methods:
+    for method in CONVERGENCE_METHODS if kind == "convergence" else config.methods:
         start = time.perf_counter()
-        iterations = 0
-        if method == "initial-single-antenna":
-            mask = 1 << closest_antenna(layout, drop.bob)
-            bob_rate, eve_rate = evaluator.link_rates(mask)
-        elif method == "shapley":
-            mask, trace = run_activation(evaluator, layout, drop.bob,
-                                         max_cycles=config.max_cycles,
-                                         cap=config.shapley_cap)
-            iterations = len(trace.steps)
-            traces[method] = trace
-            bob_rate, eve_rate = evaluator.link_rates(mask)
-        elif method == "coalition-value":
-            mask, trace = coalition_value_activation(evaluator, layout, drop.bob,
-                                                     max_cycles=config.max_cycles)
-            iterations = len(trace.steps)
-            traces[method] = trace
-            bob_rate, eve_rate = evaluator.link_rates(mask)
-        elif method == "brute-force":
-            mask, _, bob_rate, eve_rate = brute_force_secrecy_optimum(
-                bob_channels, eve_channels, budget)
-            iterations = (1 << n) - 1
-        elif method == "annealing":
-            schedule = AnnealingSchedule(config.sa_initial_temperature, config.sa_steps)
-            mask, _ = simulated_annealing(
-                evaluator, n, schedule,
-                seed=method_seed(config.master_seed, sweep_idx, trial, method))
-            iterations = config.sa_steps
-            bob_rate, eve_rate = evaluator.link_rates(mask)
-        else:  # fixed-ula
-            bob_rate, eve_rate, _ = ula_secrecy_rate(scenario, drop, n, budget)
-            mask = coalitions.full_mask(n)
-        secrecy = bob_rate - eve_rate
-        rows.append(ResultRow(
-            method=method, sweep_value=sweep_value, trial=trial, seed=fingerprint,
-            secrecy_rate=secrecy, secrecy_rate_clamped=max(secrecy, 0.0),
-            bob_rate=bob_rate, eve_rate=eve_rate,
-            coalition_mask=mask, coalition_size=mask.bit_count(),
-            iterations=iterations, wall_time_s=time.perf_counter() - start))
-
+        outcome = METHODS[method].run(trial)
+        if outcome.trace is not None:
+            traces[method] = outcome.trace
+        rows.append(_result_row(method, sweep_value, trial, outcome,
+                                time.perf_counter() - start))
     if kind != "convergence":
         return rows, []
-    return _convergence_extras(config, rows, traces, evaluator,
-                               bob_channels, eve_channels, budget,
-                               n, sweep_idx, trial, sweep_value, fingerprint)
+    return _convergence_extras(trial, rows, traces, sweep_value)
 
 
-def _convergence_extras(config, rows, traces, evaluator, bob_channels,
-                        eve_channels, budget, n, sweep_idx, trial,
-                        sweep_value, fingerprint):
+def _convergence_extras(trial: Trial, rows, traces, sweep_value):
     """Attach the optimum reference and per-iteration trace rows."""
+    reference = _reference_method(trial.config)
     start = time.perf_counter()
-    if n <= EXHAUSTIVE_LIMIT:
-        reference = "brute-force"
-        ref_mask, _, _, _ = brute_force_secrecy_optimum(bob_channels, eve_channels, budget)
-        ref_iterations = (1 << n) - 1
-    else:
-        reference = "annealing"
-        schedule = AnnealingSchedule(config.sa_initial_temperature, config.sa_steps)
-        ref_mask, _ = simulated_annealing(
-            evaluator, n, schedule,
-            seed=method_seed(config.master_seed, sweep_idx, trial, "annealing"))
-        ref_iterations = config.sa_steps
-    # score the reference through the same evaluator as the game methods so
-    # the ratio never turns on arithmetic differences between code paths
-    ref_bob, ref_eve = evaluator.link_rates(ref_mask)
-    ref_value = ref_bob - ref_eve
-    elapsed = time.perf_counter() - start
+    # scored by link_rates, as the game methods are, so the ratio never
+    # turns on arithmetic differences between code paths
+    optimum = METHODS[reference].run(trial)
+    rows.append(_result_row(reference, sweep_value, trial, optimum,
+                            time.perf_counter() - start))
+    ref_value = optimum.secrecy_rate
 
     def ratio(value):
         if ref_value <= 0.0:
@@ -281,20 +328,12 @@ def _convergence_extras(config, rows, traces, evaluator, bob_channels,
             **{f.name: getattr(row, f.name) for f in fields(ResultRow)},
             optimum_value=ref_value, optimum_ratio=ratio(row.secrecy_rate),
             reference_method=reference))
-    out.append(ConvergenceRow(
-        method=reference, sweep_value=sweep_value, trial=trial, seed=fingerprint,
-        secrecy_rate=ref_value, secrecy_rate_clamped=max(ref_value, 0.0),
-        bob_rate=ref_bob, eve_rate=ref_eve,
-        coalition_mask=ref_mask, coalition_size=ref_mask.bit_count(),
-        iterations=ref_iterations, wall_time_s=elapsed,
-        optimum_value=ref_value, optimum_ratio=ratio(ref_value),
-        reference_method=reference))
 
     trace_rows = []
     for method, trace in traces.items():
         for r in trace.to_rows():
             trace_rows.append({
-                "method": method, "trial": trial, "cycle": r["cycle"],
+                "method": method, "trial": trial.trial_idx, "cycle": r["cycle"],
                 "step": r["step"], "antenna": r["antenna"], "action": r["action"],
                 "coalition_mask": r["coalition_mask"],
                 "coalition_size": r["coalition_size"], "value": r["value"],
@@ -303,26 +342,20 @@ def _convergence_extras(config, rows, traces, evaluator, bob_channels,
 
 
 def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
-    if kind == "power":
-        n_points, counts = len(config.power_dbm_axis), (config.n_antennas,)
-    elif kind == "antenna":
-        n_points, counts = len(config.antenna_axis), config.antenna_axis
-    elif kind == "convergence":
-        n_points, counts = 1, (config.n_antennas,)
-    else:
-        raise ValueError(f"unknown study kind {kind!r}")
-    past_exhaustive = config.n_antennas > EXHAUSTIVE_LIMIT
+    points = _study_points(kind, config)
+    past_exhaustive = config.n_antennas > ENUMERATION_CAP
     anneals = past_exhaustive if kind == "convergence" else "annealing" in config.methods
-    if anneals and max(counts) > ANNEALING_MAX_ANTENNAS:
+    most = max(n for _, n, _ in points)
+    if anneals and most > ANNEALING_MAX_ANTENNAS:
         raise ValueError(f"annealing supports at most {ANNEALING_MAX_ANTENNAS} antennas; "
-                         f"this study needs it at {max(counts)}")
+                         f"this study needs it at {most}")
     if kind == "convergence" and past_exhaustive:
         warnings.warn(
             f"{config.n_antennas} antennas exceeds the exhaustive limit "
-            f"({EXHAUSTIVE_LIMIT}); using simulated annealing as the reference",
+            f"({ENUMERATION_CAP}); using simulated annealing as the reference",
             RuntimeWarning, stacklevel=3)
 
-    tasks = [(kind, config, j, t) for j in range(n_points) for t in range(config.trials)]
+    tasks = [(kind, config, j, t) for j in range(len(points)) for t in range(config.trials)]
     if config.workers == 1:
         outcomes = [_evaluate_trial(task) for task in tasks]
     else:
@@ -334,9 +367,7 @@ def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
     trace_rows = [tr for _, trs in outcomes for tr in trs]
     rows.sort(key=lambda r: (r.method, r.sweep_value, r.trial))
     trace_rows.sort(key=lambda r: (r["method"], r["trial"], r["step"]))
-    reference = None
-    if kind == "convergence":
-        reference = "brute-force" if config.n_antennas <= EXHAUSTIVE_LIMIT else "annealing"
+    reference = _reference_method(config) if kind == "convergence" else None
     return StudyResult(kind=kind, rows=rows, trace_rows=trace_rows,
                        reference_method=reference)
 
@@ -466,7 +497,58 @@ def write_outputs(result: StudyResult, config: ExperimentConfig) -> dict:
 
 # --- configuration files -------------------------------------------------
 
-def _format_scalar(value) -> str:
+class _IniField(NamedTuple):
+    section: str
+    key: str
+    name: str                   # the Scenario or ExperimentConfig field
+    parse: Callable[[str], object]
+    echoed: bool
+
+
+# INI keys that differ from their field names
+_INI_KEYS = {"power_dbm_axis": "powers_dbm", "antenna_axis": "antenna_counts",
+             "sa_steps": "steps", "sa_initial_temperature": "initial_temperature"}
+# read but never echoed: they are execution environment, not experiment
+# definition, and the echo must compare equal across output locations and
+# pool sizes
+_NOT_ECHOED = ("out_dir", "workers")
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text}") from None
+
+
+def _parser(kind) -> Callable[[str], object]:
+    """Text to value for a field annotated as kind; tuples are comma lists."""
+    if get_origin(kind) is tuple:
+        item = _parser(get_args(kind)[0])
+        return lambda text: tuple(item(piece.strip()) for piece in text.split(",")
+                                  if piece.strip())
+    return _parse_bool if kind is bool else kind
+
+
+def _ini_fields() -> list[_IniField]:
+    """Every configurable field, in echo order, from the two dataclasses."""
+    table = [_IniField("scenario", f.name, f.name, _parser(f.type), True)
+             for f in fields(Scenario)]
+    for f in fields(ExperimentConfig):
+        if f.name != "scenario":
+            section = "annealing" if f.name.startswith("sa_") else "experiment"
+            table.append(_IniField(section, _INI_KEYS.get(f.name, f.name), f.name,
+                                   _parser(f.type), f.name not in _NOT_ECHOED))
+    return table
+
+
+_INI_FIELDS = _ini_fields()
+_INI_SECTIONS = ("scenario", "experiment", "annealing")
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(item) for item in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -476,34 +558,14 @@ def _format_scalar(value) -> str:
 
 def effective_config_ini(config: ExperimentConfig) -> str:
     """Serialize the full configuration; parsing it back round-trips."""
-    scenario = config.scenario
-    lines = ["[scenario]"]
-    for name in ("region_x", "region_y", "waveguide_height", "waveguide_length",
-                 "carrier_frequency", "effective_refractive_index",
-                 "noise_power_dbm", "feed_point_x", "one_sided_region"):
-        lines.append(f"{name} = {_format_scalar(getattr(scenario, name))}")
-    lines.append("")
-    lines.append("[experiment]")
-    lines.append("powers_dbm = " + ", ".join(_format_scalar(p) for p in config.power_dbm_axis))
-    lines.append("antenna_counts = " + ", ".join(str(n) for n in config.antenna_axis))
-    for name in ("n_antennas", "power_dbm", "convergence_power_dbm", "trials",
-                 "master_seed", "max_cycles", "shapley_cap", "timing"):
-        lines.append(f"{name} = {_format_scalar(getattr(config, name))}")
-    # out_dir and workers are deliberately not echoed: they are execution
-    # environment, not experiment definition, and the echo must compare
-    # equal across output locations and pool sizes
-    lines.append("methods = " + ", ".join(config.methods))
-    lines.append("")
-    lines.append("[annealing]")
-    lines.append(f"steps = {config.sa_steps}")
-    lines.append(f"initial_temperature = {_format_scalar(config.sa_initial_temperature)}")
-    lines.append("")
+    lines = []
+    for section in _INI_SECTIONS:
+        owner = config.scenario if section == "scenario" else config
+        lines.append(f"[{section}]")
+        lines += [f"{entry.key} = {_format_value(getattr(owner, entry.name))}"
+                  for entry in _INI_FIELDS if entry.section == section and entry.echoed]
+        lines.append("")
     return "\n".join(lines)
-
-
-def _parse_list(text: str, convert):
-    items = [piece.strip() for piece in text.split(",")]
-    return tuple(convert(piece) for piece in items if piece)
 
 
 def config_from_ini(path) -> ExperimentConfig:
@@ -512,47 +574,12 @@ def config_from_ini(path) -> ExperimentConfig:
     read = parser.read(path, encoding="utf-8")
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-
-    scenario_kwargs = {}
-    if parser.has_section("scenario"):
-        section = parser["scenario"]
-        for name in ("region_x", "region_y", "waveguide_height", "waveguide_length",
-                     "carrier_frequency", "effective_refractive_index",
-                     "noise_power_dbm", "feed_point_x"):
-            if name in section:
-                scenario_kwargs[name] = section.getfloat(name)
-        if "one_sided_region" in section:
-            scenario_kwargs["one_sided_region"] = section.getboolean("one_sided_region")
-
-    kwargs = {"scenario": Scenario(**scenario_kwargs)}
-    if parser.has_section("experiment"):
-        section = parser["experiment"]
-        if "powers_dbm" in section:
-            kwargs["power_dbm_axis"] = _parse_list(section["powers_dbm"], float)
-        if "antenna_counts" in section:
-            kwargs["antenna_axis"] = _parse_list(section["antenna_counts"], int)
-        for name, getter in (("n_antennas", section.getint),
-                             ("trials", section.getint),
-                             ("master_seed", section.getint),
-                             ("workers", section.getint),
-                             ("max_cycles", section.getint),
-                             ("shapley_cap", section.getint),
-                             ("power_dbm", section.getfloat),
-                             ("convergence_power_dbm", section.getfloat),
-                             ("timing", section.getboolean)):
-            if name in section:
-                kwargs[name] = getter(name)
-        if "methods" in section:
-            kwargs["methods"] = _parse_list(section["methods"], str)
-        if "out_dir" in section:
-            kwargs["out_dir"] = section["out_dir"]
-    if parser.has_section("annealing"):
-        section = parser["annealing"]
-        if "steps" in section:
-            kwargs["sa_steps"] = section.getint("steps")
-        if "initial_temperature" in section:
-            kwargs["sa_initial_temperature"] = section.getfloat("initial_temperature")
-    return ExperimentConfig(**kwargs)
+    values = {section: {} for section in _INI_SECTIONS}
+    for entry in _INI_FIELDS:
+        if parser.has_option(entry.section, entry.key):
+            values[entry.section][entry.name] = entry.parse(parser.get(entry.section, entry.key))
+    return ExperimentConfig(scenario=Scenario(**values["scenario"]),
+                            **values["experiment"], **values["annealing"])
 
 
 def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:

@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from . import coalitions
-from .channel import ChannelVector, effective_channel
+from .channel import ChannelVector
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -52,23 +52,6 @@ class LinkBudget:
         return dbm_to_watts(self.noise_power_dbm)
 
 
-def _rate_from_mag2(mag2: float, k: int, budget: LinkBudget) -> float:
-    rho = budget.transmit_power_w / (k * budget.noise_power_w)
-    return math.log1p(rho * mag2) * _INV_LN2
-
-
-def rate(channels: ChannelVector, coalition: int, budget: LinkBudget) -> float:
-    """Link rate in bits/s/Hz for the given activation mask."""
-    h = effective_channel(channels, coalition)
-    return _rate_from_mag2(abs(h) ** 2, coalition.bit_count(), budget)
-
-
-def secrecy_rate(bob_channels: ChannelVector, eve_channels: ChannelVector,
-                 coalition: int, budget: LinkBudget) -> float:
-    """Bob's rate minus Eve's rate for one activation mask (may be negative)."""
-    return rate(bob_channels, coalition, budget) - rate(eve_channels, coalition, budget)
-
-
 class SecrecyEvaluator:
     """Coalition value v(S) for one drop, memoized across queries.
 
@@ -88,7 +71,7 @@ class SecrecyEvaluator:
         self._n = len(self._hb)
         self._power_w = budget.transmit_power_w
         self._noise_w = budget.noise_power_w
-        # subset_values' inputs: coefficient parts, and rho by active count
+        # the table builder's inputs: coefficient parts, and rho by active count
         self._coeffs = np.array([(b.real, b.imag, e.real, e.imag)
                                  for b, e in zip(self._hb, self._he)], dtype=np.float64)
         self._rho = np.array([0.0] + [self._power_w / (k * self._noise_w)
@@ -133,34 +116,41 @@ class SecrecyEvaluator:
         re = math.log1p(rho * (he.real * he.real + he.imag * he.imag)) * _INV_LN2
         return rb, re
 
+    def _gains(self, rows) -> np.ndarray:
+        """rho * |h|^2 of (bob, eve) for every subset of the given antennas.
+
+        Doubles one contiguous block per antenna, in the order given: bit k
+        of a row index stands for rows[k], and each sum adds its antennas
+        in that order.  Holds 48 bytes per entry at its peak.
+        """
+        sums = np.zeros((1 << len(rows), 4))    # bob re, bob im, eve re, eve im
+        for k, row in enumerate(rows):
+            half = 1 << k
+            np.add(sums[:half], self._coeffs[row], out=sums[half:2 * half])
+        sums *= sums
+        gains = sums[:, 0::2] + sums[:, 1::2]
+        del sums
+        gains *= self._rho[coalitions.subset_sizes(len(rows))][:, None]
+        return gains
+
     def subset_values(self, mask: int) -> np.ndarray:
         """v over every subset of a mask, as one array of 2^|mask| entries.
 
         Bit i of an index stands for the i-th lowest member of the mask, so
-        entry 0 is v(empty) = 0 and the last entry is v(mask).  The table is
-        built by doubling with members added from the highest index down,
-        the order channel_sums accumulates in, and every rate goes through
-        math.log1p as in link_rates, so each entry equals self(sub) bit for
-        bit.  Nothing is memoized; the build holds about 48 bytes per entry.
+        entry 0 is v(empty) = 0 and the last entry is v(mask).  Members are
+        added highest first, the order channel_sums accumulates in, and
+        every rate goes through math.log1p as in link_rates, so each entry
+        equals self(sub) bit for bit.  Nothing is memoized.
         """
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        size = len(members)
-        sums = np.zeros((1 << size, 4))     # bob re, bob im, eve re, eve im
-        for i in reversed(range(size)):
-            step = 1 << i
-            np.add(sums[::2 * step], self._coeffs[members[i]], out=sums[step::2 * step])
-        sums *= sums
-        gains = sums[:, 0::2] + sums[:, 1::2]   # |h|^2 of (bob, eve)
-        del sums
-        gains *= self._rho[coalitions.subset_sizes(size)][:, None]
-        flat = gains.reshape(-1)
+        flat = self._gains(members[::-1]).reshape(-1)
         rates = np.fromiter(chain.from_iterable(
             map(math.log1p, flat[lo:lo + _LOG1P_BATCH].tolist())
             for lo in range(0, flat.size, _LOG1P_BATCH)), np.float64, flat.size).reshape(-1, 2)
         rates *= _INV_LN2
-        return rates[:, 0] - rates[:, 1]
+        return (rates[:, 0] - rates[:, 1])[coalitions.bit_reversal(len(members))]
 
     def __call__(self, mask: int) -> float:
         v = self._memo.get(mask)

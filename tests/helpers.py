@@ -1,12 +1,92 @@
-"""Shared test utilities: payoff oracles, alignment search, row grouping."""
+"""Shared test utilities: scalar oracles, alignment search, row grouping.
 
+The scalar channel, rate and exhaustive-search paths here are references
+for the package's vectorized ones: one antenna, one mask or one
+coalition at a time, in plain Python arithmetic.
+"""
+
+import cmath
 import itertools
 import math
 
 import numpy as np
 
-from pinchsec import coalitions, total_phase
-from pinchsec.game import _subset_weights
+from pinchsec import coalitions, wavelengths
+from pinchsec.coalitions import ENUMERATION_CAP
+from pinchsec.game import CapacityError, _subset_weights
+from pinchsec.geometry import distance
+
+TWO_PI = 2.0 * math.pi
+
+
+def _legs(scenario, layout, receiver, n: int) -> tuple[float, float]:
+    """Free-space and guided path lengths from antenna n to the receiver."""
+    if not 0 <= n < layout.n_antennas:
+        raise IndexError(f"antenna index {n} out of range")
+    x_n = layout.positions_x[n]
+    free = distance(receiver, (x_n, 0.0, scenario.waveguide_height))
+    return free, abs(scenario.feed_point_x - x_n)
+
+
+def total_phase(scenario, layout, receiver, n: int) -> float:
+    """Unwrapped total phase (radians, >= 0) accrued on both legs."""
+    lam, lam_g, _ = wavelengths(scenario)
+    free, feed = _legs(scenario, layout, receiver, n)
+    return TWO_PI * (free / lam + feed / lam_g)
+
+
+def channel_coefficient(scenario, layout, receiver, n: int) -> complex:
+    """Complex coefficient between antenna n and the receiver."""
+    lam, lam_g, eta = wavelengths(scenario)
+    free, feed = _legs(scenario, layout, receiver, n)
+    phase = math.fmod(TWO_PI * (free / lam + feed / lam_g), TWO_PI)
+    return (eta / free) * cmath.exp(-1j * phase)
+
+
+def phase_gap(scenario, layout, receiver, n: int, n_other: int) -> float:
+    """Pairwise total-phase difference reduced to [0, 2*pi)."""
+    if n == n_other:
+        raise ValueError("phase gap needs two distinct antennas")
+    gap = total_phase(scenario, layout, receiver, n) - total_phase(scenario, layout, receiver, n_other)
+    return gap % TWO_PI
+
+
+def effective_channel(channels, coalition: int) -> complex:
+    """Coherent sum of the active antennas' coefficients, one at a time."""
+    if coalition == 0:
+        raise ValueError("at least one antenna must be active")
+    if coalition < 0 or coalition >= (1 << channels.n_antennas):
+        raise ValueError("coalition mask out of range")
+    return sum((complex(channels.coefficients[n]) for n in coalitions.members(coalition)), 0j)
+
+
+def rate(channels, coalition: int, budget) -> float:
+    """Link rate in bits/s/Hz for one activation mask."""
+    h = effective_channel(channels, coalition)
+    rho = budget.transmit_power_w / (coalition.bit_count() * budget.noise_power_w)
+    return math.log1p(rho * abs(h) ** 2) / math.log(2.0)
+
+
+def secrecy_rate(bob_channels, eve_channels, coalition: int, budget) -> float:
+    """Bob's rate minus Eve's rate for one activation mask (may be negative)."""
+    return rate(bob_channels, coalition, budget) - rate(eve_channels, coalition, budget)
+
+
+def brute_force_optimum(v, n_antennas: int) -> tuple[int, float]:
+    """Best nonempty coalition by calling v on all 2^N - 1 masks.
+
+    Ties keep the smallest mask; refused past the enumeration cap.
+    """
+    if n_antennas < 1:
+        raise ValueError("need at least one antenna")
+    if n_antennas > ENUMERATION_CAP:
+        raise CapacityError(f"{n_antennas} antennas exceeds the cap of {ENUMERATION_CAP}")
+    best_mask, best_value = 1, v(1)
+    for mask in range(2, 1 << n_antennas):
+        value = v(mask)
+        if value > best_value:
+            best_mask, best_value = mask, value
+    return best_mask, best_value
 
 
 def loop_payoff(v, coalition, member):

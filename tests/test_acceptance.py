@@ -22,10 +22,8 @@ from pinchsec import (
     Scenario,
     SecrecyEvaluator,
     brute_force_secrecy_optimum,
-    channel_coefficient,
     channel_vector,
     coalitions,
-    is_nash_stable,
     run_activation,
     run_antenna_sweep,
     run_convergence_study,
@@ -38,8 +36,10 @@ from pinchsec import (
     wavelengths,
     write_outputs,
 )
+from pinchsec.game import is_nash_stable
 from pinchsec.harness import drop_seed, method_seed
 from helpers import (
+    channel_coefficient,
     mean_secrecy,
     paired_differences,
     permutation_payoff,

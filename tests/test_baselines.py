@@ -7,21 +7,21 @@ from pinchsec import (
     AnnealingSchedule,
     AntennaLayout,
     CapacityError,
-    Drop,
     LinkBudget,
     Scenario,
     SecrecyEvaluator,
-    brute_force_optimum,
     brute_force_secrecy_optimum,
     channel_vector,
     coalition_value_activation,
     enumerate_secrecy_values,
     sample_drop,
     simulated_annealing,
-    ula_secrecy_rate,
     uniform_layout,
     wavelengths,
 )
+from pinchsec.baselines import ula_secrecy_rate
+from pinchsec.geometry import Drop
+from helpers import brute_force_optimum
 
 
 def _drop_evaluator(seed=1, n=8, power_dbm=10.0):

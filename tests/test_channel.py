@@ -4,17 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pinchsec import (
-    AntennaLayout,
-    Scenario,
-    channel_coefficient,
-    channel_vector,
-    effective_channel,
-    phase_gap,
-    total_phase,
-    wavelengths,
-)
-from helpers import solve_alignment
+from pinchsec import AntennaLayout, Scenario, channel_vector, uniform_layout, wavelengths
+from helpers import (channel_coefficient, effective_channel, phase_gap, solve_alignment,
+                     total_phase)
 
 # high-precision reference values for the default 28 GHz scenario,
 # computed once with 50-digit arithmetic and frozen here
@@ -107,6 +99,18 @@ def test_channel_vector_matches_scalar_coefficients():
     for n in range(4):
         h = channel_coefficient(s, layout, receiver, n)
         assert vec.coefficients[n] == pytest.approx(h, rel=1e-14)
+
+
+def test_channel_vector_rejects_antennas_off_the_waveguide():
+    s = Scenario()
+    with pytest.raises(ValueError, match="waveguide"):
+        channel_vector(s, AntennaLayout((1.0, 50.0)), (5.0, 1.0, 0.0))
+    # a layout built for a longer waveguide does not fit a shorter one
+    with pytest.raises(ValueError, match="waveguide"):
+        channel_vector(Scenario(waveguide_length=5.0), uniform_layout(s, 3), (2.0, 1.0, 0.0))
+    # both ends of the waveguide are legal positions
+    vec = channel_vector(s, AntennaLayout((0.0, s.waveguide_length)), (5.0, 1.0, 0.0))
+    assert np.all(np.isfinite(vec.coefficients))
 
 
 def test_effective_channel_sums_selected_antennas():

@@ -71,7 +71,7 @@ def test_single_drop_command(capsys):
 
 def test_single_drop_skips_exhaustive_when_too_large(capsys, monkeypatch):
     import pinchsec.cli as cli
-    monkeypatch.setattr(cli, "EXHAUSTIVE_LIMIT", 4)
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 4)
     code = main(["single-drop", "--antennas", "6", "--seed", "12"])
     assert code == 0
     stdout = capsys.readouterr().out

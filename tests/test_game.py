@@ -8,18 +8,15 @@ from pinchsec import (
     Scenario,
     SecrecyEvaluator,
     channel_vector,
-    closest_antenna,
     coalitions,
-    is_nash_stable,
-    merge_candidate,
-    outside_payoff,
     payoff_reports,
     run_activation,
     sample_drop,
     shapley_value,
-    split_candidate,
     uniform_layout,
 )
+from pinchsec.game import (closest_antenna, is_nash_stable, merge_candidate, outside_payoff,
+                           split_candidate)
 from helpers import permutation_payoff, random_value_table
 
 

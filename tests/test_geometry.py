@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pinchsec import AntennaLayout, Drop, Scenario, antenna_points, distance, sample_drop, uniform_layout
+from pinchsec import AntennaLayout, Scenario, sample_drop, uniform_layout
+from pinchsec.geometry import Drop, antenna_points, distance
 
 
 def test_default_scenario_values():
@@ -33,6 +35,13 @@ def test_default_scenario_values():
 def test_scenario_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         Scenario(**kwargs)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Scenario) if f.type is float])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        Scenario(**{name: value})
 
 
 def test_y_bounds_straddles_waveguide_by_default():
@@ -69,6 +78,12 @@ def test_layout_coerces_and_validates():
         AntennaLayout(positions_x=(2.0, 1.0))
     with pytest.raises(ValueError):
         AntennaLayout(positions_x=(-0.5, 1.0))
+
+
+@pytest.mark.parametrize("positions", [(1.0, math.nan), (1.0, math.inf), (math.nan,)])
+def test_layout_rejects_non_finite_positions(positions):
+    with pytest.raises(ValueError, match="finite"):
+        AntennaLayout(positions)
 
 
 def test_uniform_layout_spacing():

@@ -8,19 +8,18 @@ import pytest
 
 from pinchsec import (
     ExperimentConfig,
-    ResultRow,
     Scenario,
     aggregate_rows,
     coalitions,
-    config_from_ini,
-    emit_csv,
     run_antenna_sweep,
     run_convergence_study,
     run_power_sweep,
     write_outputs,
 )
 from pinchsec import harness
-from pinchsec.harness import apply_overrides, drop_seed, method_seed
+from pinchsec.coalitions import ENUMERATION_CAP
+from pinchsec.harness import (ResultRow, apply_overrides, config_from_ini, drop_seed,
+                              effective_config_ini, emit_csv, method_seed)
 
 TINY = dict(trials=2, n_antennas=5, power_dbm_axis=(0.0, 10.0), antenna_axis=(3, 5))
 
@@ -55,6 +54,15 @@ def test_config_rejects_bad_values(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_config_refuses_shapley_cap_past_the_enumeration_cap():
+    # a 30-member coalition would otherwise try to build a 2^30 payoff table
+    with pytest.raises(ValueError, match="shapley_cap"):
+        ExperimentConfig(n_antennas=40, shapley_cap=100)
+    with pytest.raises(ValueError, match="shapley_cap"):
+        ExperimentConfig(shapley_cap=ENUMERATION_CAP + 1)
+    assert ExperimentConfig(shapley_cap=ENUMERATION_CAP).shapley_cap == ENUMERATION_CAP
+
+
 def test_config_defaults():
     config = ExperimentConfig()
     assert config.power_dbm_axis == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -77,6 +85,18 @@ def test_seed_streams_are_distinct_and_stable():
     m2 = method_seed(7, 0, 3, "shapley").generate_state(4)
     assert list(m1) != list(m2)
     assert list(m1) != list(a)
+
+
+@pytest.mark.parametrize("method, stream_id", [
+    ("initial-single-antenna", 1), ("shapley", 2), ("coalition-value", 3),
+    ("brute-force", 4), ("annealing", 5), ("fixed-ula", 6),
+])
+def test_method_streams_keep_their_ids(method, stream_id):
+    # the ids are part of every seeded result: changing one reshuffles the
+    # draws of that method in every study ever run
+    got = method_seed(7, 2, 11, method).generate_state(4)
+    want = np.random.SeedSequence([7, 2, 11, stream_id]).generate_state(4)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_single_trial_power_study():
@@ -393,7 +413,6 @@ def test_config_from_ini_rejects_unknown_method(tmp_path):
 
 
 def test_effective_config_round_trips(tmp_path):
-    from pinchsec.harness import effective_config_ini
     config = ExperimentConfig(
         scenario=Scenario(region_x=8.0, region_y=4.0, waveguide_height=2.0,
                           carrier_frequency=60.0e9, effective_refractive_index=1.8,
@@ -404,6 +423,13 @@ def test_effective_config_round_trips(tmp_path):
         methods=("shapley", "annealing"), out_dir=str(tmp_path), workers=3,
         max_cycles=17, shapley_cap=12, sa_steps=777,
         sa_initial_temperature=2.5, timing=True)
+    # every field differs from its default, so a field the echo or the
+    # reader missed would come back as its default and fail the comparison
+    defaults = ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+    for f in fields(Scenario):
+        assert getattr(config.scenario, f.name) != getattr(defaults.scenario, f.name), f.name
     path = tmp_path / "echo.ini"
     path.write_text(effective_config_ini(config), encoding="utf-8")
     loaded = config_from_ini(path)
@@ -411,8 +437,43 @@ def test_effective_config_round_trips(tmp_path):
     assert loaded == replace(config, out_dir=None, workers=1)
 
 
+DEFAULT_ECHO = """\
+[scenario]
+region_x = 10.0
+region_y = 6.0
+waveguide_height = 3.0
+waveguide_length = 10.0
+carrier_frequency = 28000000000.0
+effective_refractive_index = 1.4
+noise_power_dbm = -90.0
+feed_point_x = 0.0
+one_sided_region = false
+
+[experiment]
+powers_dbm = 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0
+antenna_counts = 5, 10, 15, 20
+n_antennas = 20
+power_dbm = 10.0
+convergence_power_dbm = 20.0
+trials = 500
+master_seed = 1
+max_cycles = 100
+shapley_cap = 24
+timing = false
+methods = initial-single-antenna, shapley, coalition-value, fixed-ula
+
+[annealing]
+steps = 1000000
+initial_temperature = 1.0
+"""
+
+
+def test_effective_config_of_the_defaults_is_pinned():
+    # effective_config.ini is one of the byte-identical outputs
+    assert effective_config_ini(ExperimentConfig()) == DEFAULT_ECHO
+
+
 def test_effective_config_omits_execution_environment(tmp_path):
-    from pinchsec.harness import effective_config_ini
     text = effective_config_ini(ExperimentConfig(out_dir="/somewhere", workers=5))
     assert "somewhere" not in text
     assert "workers" not in text

@@ -11,17 +11,16 @@ from pinchsec import (
     Scenario,
     SecrecyEvaluator,
     channel_vector,
-    closest_antenna,
     coalitions,
-    is_nash_stable,
     payoff_reports,
     run_activation,
     sample_drop,
     shapley_value,
     uniform_layout,
 )
-from pinchsec.game import (DEFAULT_SHAPLEY_CAP, _coalition_payoffs, _merge_split_scan,
-                           merge_candidate, split_candidate)
+from pinchsec.coalitions import ENUMERATION_CAP
+from pinchsec.game import (_coalition_payoffs, _merge_split_scan, closest_antenna,
+                           is_nash_stable, merge_candidate, split_candidate)
 from helpers import loop_payoff, permutation_payoff
 
 SCENARIO = Scenario()
@@ -56,7 +55,7 @@ def games(draw, max_members=8):
 def test_payoffs_sum_to_the_coalition_value(game):
     members, table = game
     coalition = coalitions.from_members(members)
-    payoffs = _coalition_payoffs(table.__getitem__, coalition, DEFAULT_SHAPLEY_CAP)
+    payoffs = _coalition_payoffs(table.__getitem__, coalition, ENUMERATION_CAP)
     assert payoffs.shape == (len(members),)
     assert abs(payoffs.sum() - table[coalition]) <= 1e-12
 

@@ -9,12 +9,10 @@ from pinchsec import (
     Scenario,
     SecrecyEvaluator,
     channel_vector,
-    dbm_to_watts,
-    effective_channel,
-    rate,
-    secrecy_rate,
     uniform_layout,
 )
+from pinchsec.secrecy import dbm_to_watts
+from helpers import effective_channel, rate, secrecy_rate
 
 # frozen reference link rates for the default scenario with five evenly
 # spaced antennas and only the first one active, receiver at (2, 1, 0),
