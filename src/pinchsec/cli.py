@@ -29,17 +29,18 @@ def _parse_ints(text: str) -> tuple:
 
 def _build_config(args, command: str) -> ExperimentConfig:
     config = config_from_ini(args.config) if args.config else ExperimentConfig()
+    # the sweep flags are absent from single-drop's namespace
     overrides = {
         "master_seed": args.seed,
-        "trials": args.trials,
-        "workers": args.workers,
-        "out_dir": args.out,
+        "trials": getattr(args, "trials", None),
+        "workers": getattr(args, "workers", None),
+        "out_dir": getattr(args, "out", None),
         "n_antennas": args.antennas,
-        "sa_steps": args.sa_steps,
-        "sa_initial_temperature": args.sa_temperature,
-        "timing": True if args.timing else None,
+        "sa_steps": getattr(args, "sa_steps", None),
+        "sa_initial_temperature": getattr(args, "sa_temperature", None),
+        "timing": True if getattr(args, "timing", False) else None,
     }
-    if args.methods is not None:
+    if getattr(args, "methods", None) is not None:
         overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if getattr(args, "powers", None) is not None:
         overrides["power_dbm_axis"] = _parse_floats(args.powers)
@@ -149,32 +150,34 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
     common.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    common.add_argument("--trials", type=int, metavar="N")
-    common.add_argument("--workers", type=int, metavar="N", help="process pool size")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--methods", metavar="LIST",
-                        help="comma separated subset of: " + ", ".join(METHODS))
     common.add_argument("--antennas", type=int, metavar="N",
                         help="antenna count for fixed-N studies")
-    common.add_argument("--sa-steps", type=int, dest="sa_steps", metavar="N")
-    common.add_argument("--sa-temperature", type=float, dest="sa_temperature", metavar="T")
-    common.add_argument("--timing", action="store_true",
-                        help="also write per-row wall times (timings.csv)")
+    # what only a study uses; single-drop refuses these flags
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--trials", type=int, metavar="N")
+    sweep.add_argument("--workers", type=int, metavar="N", help="process pool size")
+    sweep.add_argument("--out", metavar="DIR", help="output directory")
+    sweep.add_argument("--methods", metavar="LIST",
+                       help="comma separated subset of: " + ", ".join(METHODS))
+    sweep.add_argument("--sa-steps", type=int, dest="sa_steps", metavar="N")
+    sweep.add_argument("--sa-temperature", type=float, dest="sa_temperature", metavar="T")
+    sweep.add_argument("--timing", action="store_true",
+                       help="also write per-row wall times (timings.csv)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("power-sweep", parents=[common],
+    p = sub.add_parser("power-sweep", parents=[sweep],
                        help="secrecy rate vs transmit power")
     p.add_argument("--powers", metavar="LIST", help="dBm values, comma separated")
     p.set_defaults(entry=_cmd_power_sweep)
 
-    p = sub.add_parser("antenna-sweep", parents=[common],
+    p = sub.add_parser("antenna-sweep", parents=[sweep],
                        help="secrecy rate vs antenna count")
     p.add_argument("--antenna-counts", metavar="LIST", help="comma separated counts")
     p.add_argument("--power", type=float, metavar="DBM", help="fixed transmit power")
     p.set_defaults(entry=_cmd_antenna_sweep)
 
-    p = sub.add_parser("convergence", parents=[common],
+    p = sub.add_parser("convergence", parents=[sweep],
                        help="game trajectories vs the exhaustive optimum")
     p.add_argument("--power", type=float, metavar="DBM", help="fixed transmit power")
     p.set_defaults(entry=_cmd_convergence)

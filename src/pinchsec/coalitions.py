@@ -9,7 +9,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 # the one cap on subset enumeration: a payoff table over a coalition's
-# subsets and the exhaustive table over every mask hold 2^N entries each
+# subsets holds 2^N entries, and the exhaustive search visits 2^N masks
 ENUMERATION_CAP = 24
 
 # subset_sizes and bit_reversal keep their arrays up to this member count

@@ -37,7 +37,8 @@ from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule,
                         ula_secrecy_rate)
 from .channel import ChannelVector, channel_vector
 from .coalitions import ENUMERATION_CAP
-from .game import DEFAULT_MAX_CYCLES, GameTrace, closest_antenna, run_activation
+from .game import (DEFAULT_MAX_CYCLES, CapacityError, GameTrace, closest_antenna,
+                   run_activation)
 from .geometry import AntennaLayout, Drop, Scenario, sample_drop, uniform_layout
 from .secrecy import LinkBudget, SecrecyEvaluator
 
@@ -284,7 +285,11 @@ def _result_row(method: str, sweep_value: float, trial: Trial, outcome: Outcome,
 
 
 def _evaluate_trial(args) -> tuple[list, list]:
-    """Run every configured method on one drop.  Top level so it pickles."""
+    """Run every configured method on one drop.  Top level so it pickles.
+
+    A coalition that outgrows shapley_cap aborts the study with a
+    CapacityError naming the method, sweep point, trial and drop seed.
+    """
     kind, config, sweep_idx, trial_idx = args
     sweep_value, n, power = _study_points(kind, config)[sweep_idx]
     trial = build_trial(config, sweep_idx, trial_idx, n, power)
@@ -292,7 +297,11 @@ def _evaluate_trial(args) -> tuple[list, list]:
     traces = {}
     for method in CONVERGENCE_METHODS if kind == "convergence" else config.methods:
         start = time.perf_counter()
-        outcome = METHODS[method].run(trial)
+        try:
+            outcome = METHODS[method].run(trial)
+        except CapacityError as exc:
+            raise CapacityError(f"{method} at {kind} sweep point {sweep_value:g}, trial "
+                                f"{trial_idx} (drop seed {trial.seed}): {exc}") from exc
         if outcome.trace is not None:
             traces[method] = outcome.trace
         rows.append(_result_row(method, sweep_value, trial, outcome,
@@ -349,6 +358,9 @@ def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
     if anneals and most > ANNEALING_MAX_ANTENNAS:
         raise ValueError(f"annealing supports at most {ANNEALING_MAX_ANTENNAS} antennas; "
                          f"this study needs it at {most}")
+    if kind != "convergence" and "brute-force" in config.methods and most > ENUMERATION_CAP:
+        raise CapacityError(f"brute-force enumerates at most {ENUMERATION_CAP} antennas; "
+                            f"this study needs it at {most}")
     if kind == "convergence" and past_exhaustive:
         warnings.warn(
             f"{config.n_antennas} antennas exceeds the exhaustive limit "

@@ -21,6 +21,10 @@ _INV_LN2 = 1.0 / math.log(2.0)
 # temporary Python list a large subset table needs
 _LOG1P_BATCH = 1 << 15
 
+# value_blocks spans the low 14 antennas per block: 16384 masks, whose
+# buffers (four planes of sums, two of gains) stay in cache
+_BLOCK_BITS = 14
+
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -71,9 +75,13 @@ class SecrecyEvaluator:
         self._n = len(self._hb)
         self._power_w = budget.transmit_power_w
         self._noise_w = budget.noise_power_w
-        # the table builder's inputs: coefficient parts, and rho by active count
-        self._coeffs = np.array([(b.real, b.imag, e.real, e.imag)
-                                 for b, e in zip(self._hb, self._he)], dtype=np.float64)
+        # the table builder's inputs: coefficient parts as four planes (bob
+        # re, bob im, eve re, eve im) by antenna, and rho by active count
+        self._coeffs = np.array([[h.real for h in self._hb], [h.imag for h in self._hb],
+                                 [h.real for h in self._he], [h.imag for h in self._he]],
+                                dtype=np.float64).reshape(4, self._n)
+        if not np.isfinite(self._coeffs).all():
+            raise ValueError("channel coefficients must be finite")
         self._rho = np.array([0.0] + [self._power_w / (k * self._noise_w)
                                       for k in range(1, self._n + 1)])
         self._sums: dict[int, tuple[complex, complex]] = {0: (0j, 0j)}
@@ -116,21 +124,29 @@ class SecrecyEvaluator:
         re = math.log1p(rho * (he.real * he.real + he.imag * he.imag)) * _INV_LN2
         return rb, re
 
-    def _gains(self, rows) -> np.ndarray:
-        """rho * |h|^2 of (bob, eve) for every subset of the given antennas.
+    def _subset_sums(self, rows) -> np.ndarray:
+        """Coefficient sums of every subset of the given antennas, as four
+        planes of 2^len(rows) entries: bob re, bob im, eve re, eve im.
 
         Doubles one contiguous block per antenna, in the order given: bit k
-        of a row index stands for rows[k], and each sum adds its antennas
-        in that order.  Holds 48 bytes per entry at its peak.
+        of an index stands for rows[k], and each sum adds its antennas in
+        that order.
         """
-        sums = np.zeros((1 << len(rows), 4))    # bob re, bob im, eve re, eve im
+        sums = np.zeros((4, 1 << len(rows)))
         for k, row in enumerate(rows):
             half = 1 << k
-            np.add(sums[:half], self._coeffs[row], out=sums[half:2 * half])
-        sums *= sums
-        gains = sums[:, 0::2] + sums[:, 1::2]
-        del sums
-        gains *= self._rho[coalitions.subset_sizes(len(rows))][:, None]
+            np.add(sums[:, :half], self._coeffs[:, row, None], out=sums[:, half:2 * half])
+        return sums
+
+    def _gains(self, sums: np.ndarray, rho: np.ndarray, out=None) -> np.ndarray:
+        """rho * |h|^2 of (bob, eve) as two planes.
+
+        Takes the four planes of coefficient sums, which it squares in
+        place, and each entry's SNR scale rho.
+        """
+        np.multiply(sums, sums, out=sums)
+        gains = np.add(sums[0::2], sums[1::2], out=out)
+        gains *= rho
         return gains
 
     def subset_values(self, mask: int) -> np.ndarray:
@@ -140,17 +156,59 @@ class SecrecyEvaluator:
         entry 0 is v(empty) = 0 and the last entry is v(mask).  Members are
         added highest first, the order channel_sums accumulates in, and
         every rate goes through math.log1p as in link_rates, so each entry
-        equals self(sub) bit for bit.  Nothing is memoized.
+        equals self(sub) bit for bit.  Holds 48 bytes per entry at its
+        peak.  Nothing is memoized.
         """
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        flat = self._gains(members[::-1]).reshape(-1)
+        k = len(members)
+        flat = self._gains(self._subset_sums(members[::-1]),
+                           self._rho[coalitions.subset_sizes(k)]).reshape(-1)
         rates = np.fromiter(chain.from_iterable(
             map(math.log1p, flat[lo:lo + _LOG1P_BATCH].tolist())
-            for lo in range(0, flat.size, _LOG1P_BATCH)), np.float64, flat.size).reshape(-1, 2)
+            for lo in range(0, flat.size, _LOG1P_BATCH)), np.float64, flat.size).reshape(2, -1)
         rates *= _INV_LN2
-        return (rates[:, 0] - rates[:, 1])[coalitions.bit_reversal(len(members))]
+        return (rates[0] - rates[1])[coalitions.bit_reversal(k)]
+
+    def value_blocks(self):
+        """Secrecy rate of every mask, in ascending blocks of 2^14 masks.
+
+        Yields (first mask, values); values is one buffer, reused, so it
+        holds a block only until the next is drawn.  Entry 0 of the first
+        block, the empty mask, is -inf.  Rates go through numpy's log1p,
+        which may differ from math.log1p in the last bit.
+
+        One table holds the sums of the low antennas; each block adds its
+        set high antennas to them one at a time, in ascending order, so
+        every sum adds its antennas in index order, as one doubling over
+        all n antennas would.  Buffers take about 2 MiB whatever n is.
+        """
+        low_bits = min(self._n, _BLOCK_BITS)
+        low = self._subset_sums(range(low_bits))
+        low_sizes = coalitions.subset_sizes(low_bits)
+        sums = np.empty_like(low)
+        rho = np.empty(low.shape[1])
+        gains = np.empty((2, low.shape[1]))
+        values = np.empty(low.shape[1])
+        for high in range(1 << (self._n - low_bits)):
+            if high:
+                src = low
+                for member in coalitions.members(high):
+                    np.add(src, self._coeffs[:, low_bits + member, None], out=sums)
+                    src = sums
+            else:
+                np.copyto(sums, low)
+            # rho by each mask's active count, the low part's plus high's; the
+            # counts are in range, and "clip" spares take a buffered copy
+            np.take(self._rho[high.bit_count():], low_sizes, out=rho, mode="clip")
+            self._gains(sums, rho, out=gains)
+            np.log1p(gains, out=gains)
+            gains *= _INV_LN2
+            np.subtract(gains[0], gains[1], out=values)
+            if not high:
+                values[0] = -np.inf
+            yield high << low_bits, values
 
     def __call__(self, mask: int) -> float:
         v = self._memo.get(mask)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsec import (
     AnnealingSchedule,
@@ -21,7 +23,7 @@ from pinchsec import (
 )
 from pinchsec.baselines import ula_secrecy_rate
 from pinchsec.geometry import Drop
-from helpers import brute_force_optimum
+from helpers import brute_force_optimum, one_shot_table
 
 
 def _drop_evaluator(seed=1, n=8, power_dbm=10.0):
@@ -92,6 +94,41 @@ def test_both_exhaustive_routes_agree():
     rb_direct, re_direct = v.link_rates(mask_b)
     assert rb == pytest.approx(rb_direct, rel=1e-12)
     assert re == pytest.approx(re_direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 14, 15, 18])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), power_dbm=st.floats(-10.0, 40.0))
+def test_streamed_search_matches_the_one_shot_table(n, seed, power_dbm):
+    # n runs below, at and above the 14 antennas one block spans
+    rng = np.random.default_rng(seed)
+    hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-4
+    budget = LinkBudget(power_dbm, -90.0)
+    table = one_shot_table(hb, he, budget)
+    np.testing.assert_array_equal(enumerate_secrecy_values(hb, he, budget), table)
+    mask, value, rb, re = brute_force_secrecy_optimum(hb, he, budget)
+    assert mask == int(np.argmax(table))
+    assert value == rb - re
+
+
+@pytest.mark.parametrize("twin", [3, 15])
+def test_streamed_search_tie_keeps_smallest_mask(twin):
+    # antenna 1 and its twin are identical, and antenna 5 cancels either's
+    # eavesdropper channel, so {1, 5} and {5, twin} tie for the optimum;
+    # the other antennas only feed the eavesdropper.  Twin 15 puts the
+    # later maximum in a later block.
+    n = 16
+    hb = np.full(n, 1e-7 + 0j)
+    he = np.full(n, 3e-4 + 0j)
+    hb[[1, twin, 5]] = 1e-4
+    he[[1, twin]] = 1e-4
+    he[5] = -1e-4
+    budget = LinkBudget(20.0, -90.0)
+    table = one_shot_table(hb, he, budget)
+    tied = np.flatnonzero(table == table.max())
+    assert tied.tolist() == [0b100010, (1 << 5) | (1 << twin)]
+    mask, *_ = brute_force_secrecy_optimum(hb, he, budget)
+    assert mask == 0b100010
 
 
 def test_identical_channels_tie_to_single_antenna():

@@ -1,4 +1,5 @@
 import configparser
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,23 @@ def test_single_drop_command(capsys):
     assert "value-driven activation" in stdout
     assert "exhaustive optimum" in stdout
     assert "payoffs at the final coalition" in stdout
+
+
+def test_single_drop_prints_the_golden_walkthrough(capsys):
+    assert main(["single-drop", "--antennas", "8", "--seed", "42"]) == 0
+    golden = Path(__file__).parent / "data" / "single_drop_n8_seed42.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("flag", [
+    ["--methods", "annealing"], ["--trials", "9"], ["--workers", "4"], ["--out", "x"],
+    ["--timing"], ["--sa-steps", "10"], ["--sa-temperature", "2"],
+])
+def test_single_drop_rejects_study_flags(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["single-drop", "--antennas", "5", "--seed", "3", *flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_single_drop_skips_exhaustive_when_too_large(capsys, monkeypatch):

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsec import (
+    CapacityError,
     ExperimentConfig,
     Scenario,
     aggregate_rows,
@@ -345,6 +348,43 @@ def test_annealing_past_64_antennas_is_refused_before_any_trial(monkeypatch, stu
     monkeypatch.setattr(harness, "_evaluate_trial", no_trial)
     with pytest.raises(ValueError, match="at most 64"):
         study(ExperimentConfig(trials=1, sa_steps=10, **kwargs))
+
+
+@pytest.mark.parametrize("study, kwargs", [
+    (run_power_sweep, {"n_antennas": 25}),
+    (run_antenna_sweep, {"antenna_axis": (5, 25)}),
+])
+def test_brute_force_past_the_cap_is_refused_before_any_trial(monkeypatch, study, kwargs):
+    def no_trial(*args):
+        raise AssertionError("no trial should be built")
+
+    monkeypatch.setattr(harness, "build_trial", no_trial)
+    with pytest.raises(CapacityError, match=f"at most {ENUMERATION_CAP} antennas"):
+        study(ExperimentConfig(trials=200, methods=("shapley", "brute-force"), **kwargs))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coalition_past_shapley_cap_names_its_trial(workers):
+    config = ExperimentConfig(n_antennas=20, shapley_cap=4, methods=("shapley",),
+                              trials=50, workers=workers)
+    seed = int(drop_seed(config.master_seed, 0, 0).generate_state(1, np.uint64)[0])
+    with pytest.raises(CapacityError) as info:
+        run_power_sweep(config)
+    assert str(info.value) == (f"shapley at power sweep point 0, trial 0 (drop seed {seed}): "
+                               "coalition size 5 exceeds enumeration cap 4")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), power_dbm=st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_no_method_beats_the_exact_optimum(n, power_dbm, seed):
+    # fixed-ula is left out: it is another array, not a coalition of these antennas
+    config = ExperimentConfig(n_antennas=n, master_seed=seed, sa_steps=300)
+    trial = harness.build_trial(config, 0, 0, n, power_dbm)
+    optimum = harness.METHODS["brute-force"].run(trial).secrecy_rate
+    for method in ("initial-single-antenna", "shapley", "coalition-value", "annealing"):
+        achieved = harness.METHODS[method].run(trial).secrecy_rate
+        assert achieved <= optimum + 1e-12 * max(1.0, abs(optimum)), method
 
 
 def test_studies_past_64_antennas_run_without_annealing():

@@ -187,3 +187,15 @@ def test_evaluator_rejects_mismatched_vectors():
     eve = channel_vector(s, uniform_layout(s, 4), GOLDEN_EVE)
     with pytest.raises(ValueError):
         SecrecyEvaluator(bob, eve, budget)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+def test_evaluator_rejects_non_finite_coefficients(bad):
+    _, _, budget = _golden_setup()
+    good = np.full(3, 1e-4 + 0j)
+    broken = good.copy()
+    broken[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SecrecyEvaluator(broken, good, budget)
+    with pytest.raises(ValueError, match="finite"):
+        SecrecyEvaluator(good, broken, budget)
