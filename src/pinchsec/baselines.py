@@ -76,8 +76,9 @@ def brute_force_secrecy_optimum(bob_coeffs, eve_coeffs,
 class AnnealingSchedule:
     """Geometric cooling schedule.
 
-    cooling_factor defaults to the rate that takes the temperature down
-    three decades across the run; an explicit factor must sit in (0, 1).
+    The initial temperature must be positive and finite.  cooling_factor
+    defaults to the rate that takes the temperature down three decades
+    across the run; an explicit factor must sit in (0, 1).
     """
 
     initial_temperature: float = 1.0
@@ -85,8 +86,9 @@ class AnnealingSchedule:
     cooling_factor: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.initial_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
+        if not 0.0 < self.initial_temperature < math.inf:
+            raise ValueError(f"initial temperature must be positive and finite, "
+                             f"got {self.initial_temperature}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.cooling_factor is None:
@@ -97,6 +99,10 @@ class AnnealingSchedule:
             raise ValueError("cooling factor must be in (0, 1)")
 
 
+# steps whose draws are turned into Python lists at a time (about 160 KiB)
+_WALK_CHUNK = 4096
+
+
 def simulated_annealing(v: ValueFunction, n_antennas: int,
                         schedule: AnnealingSchedule = None,
                         seed=None, best_trace: list = None) -> tuple[int, float]:
@@ -104,10 +110,16 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
 
     A flip that would empty the coalition is rejected but still consumes a
     step (and a cooling tick).  Worse moves are accepted with probability
-    exp(dv / T).  Returns the best coalition ever visited, which is at
-    least as good as the start, so zero steps returns the start itself.
-    Passing a list as best_trace records the best-so-far value at the
-    start and after every step.  At most 64 antennas.
+    exp(dv / T), and never once T has underflowed to zero.  Returns the
+    best coalition ever visited, which is at least as good as the start,
+    so zero steps returns the start itself.  Passing a list as best_trace
+    records the best-so-far value at the start and after every step.  At
+    most 64 antennas.
+
+    v must be pure: the walk keeps every value it has seen in a local
+    dict and calls v once per distinct mask, since a walk mostly revisits
+    the masks one flip from its path.  That dict grows with the distinct
+    masks, as a memoizing v does.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
@@ -130,21 +142,34 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     uniforms = rng.random(size=steps)
     temperature = schedule.initial_temperature
     factor = schedule.cooling_factor
-    for i in range(steps):
-        bit = 1 << int(flips[i])
-        proposal = state ^ bit
-        if proposal:
-            new_value = v(proposal)
-            dv = new_value - value
-            # exp underflows silently below ~-745; clamp instead of trusting
-            # the temperature to stay representable
-            if dv >= 0.0 or uniforms[i] < math.exp(max(dv / temperature, -745.0)):
-                state, value = proposal, new_value
-                if value > best_value:
-                    best_state, best_value = state, value
-        temperature *= factor
-        if best_trace is not None:
-            best_trace.append(best_value)
+    bits = [1 << k for k in range(n_antennas)]
+    seen = {state: value}
+    exp = math.exp
+    for first in range(0, steps, _WALK_CHUNK):
+        last = first + _WALK_CHUNK
+        for k, u in zip(flips[first:last].tolist(), uniforms[first:last].tolist()):
+            proposal = state ^ bits[k]
+            if proposal:
+                try:
+                    new_value = seen[proposal]
+                except KeyError:
+                    new_value = seen[proposal] = v(proposal)
+                dv = new_value - value
+                if dv >= 0.0:
+                    state, value = proposal, new_value
+                    if value > best_value:
+                        best_state, best_value = state, value
+                elif temperature > 0.0:
+                    # exp underflows silently below ~-745, so the exponent is
+                    # clamped there; a NaN exponent passes, as max() lets it,
+                    # and rejects
+                    x = dv / temperature
+                    if u < exp(-745.0 if x < -745.0 else x):
+                        # a worse move cannot raise the best
+                        state, value = proposal, new_value
+            temperature *= factor
+            if best_trace is not None:
+                best_trace.append(best_value)
     return best_state, best_value
 
 

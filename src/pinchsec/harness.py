@@ -77,7 +77,7 @@ class ExperimentConfig:
             raise ValueError("power axis must be nonempty")
         if not all(math.isfinite(p) for p in self.power_dbm_axis):
             raise ValueError(f"powers must be finite, got {self.power_dbm_axis}")
-        for name in ("power_dbm", "convergence_power_dbm"):
+        for name in ("power_dbm", "convergence_power_dbm", "sa_initial_temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.antenna_axis:

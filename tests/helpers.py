@@ -115,6 +115,45 @@ def one_shot_table(bob_coeffs, eve_coeffs, budget) -> np.ndarray:
     return values
 
 
+def loop_annealing(v, n_antennas: int, schedule, seed=None,
+                   best_trace: list = None) -> tuple[int, float]:
+    """Single-bit-flip annealing, one numpy draw and one v call per step (oracle).
+
+    Reference for the package's walk: the same draws (start, then every
+    flip, then every uniform), the same clamped acceptance test and the
+    same cooling recurrence, with no cache of its own.  Divides by the
+    temperature, so a schedule that cools to zero raises
+    ZeroDivisionError.
+    """
+    rng = np.random.default_rng(seed)
+    state = int(rng.integers(1, (1 << n_antennas) - 1, endpoint=True, dtype=np.uint64))
+    value = v(state)
+    best_state, best_value = state, value
+    if best_trace is not None:
+        best_trace.append(best_value)
+    steps = schedule.steps
+    if steps == 0:
+        return best_state, best_value
+    flips = rng.integers(0, n_antennas, size=steps)
+    uniforms = rng.random(size=steps)
+    temperature = schedule.initial_temperature
+    factor = schedule.cooling_factor
+    for i in range(steps):
+        bit = 1 << int(flips[i])
+        proposal = state ^ bit
+        if proposal:
+            new_value = v(proposal)
+            dv = new_value - value
+            if dv >= 0.0 or uniforms[i] < math.exp(max(dv / temperature, -745.0)):
+                state, value = proposal, new_value
+                if value > best_value:
+                    best_state, best_value = state, value
+        temperature *= factor
+        if best_trace is not None:
+            best_trace.append(best_value)
+    return best_state, best_value
+
+
 def loop_payoff(v, coalition, member):
     """Exact payoff by walking every subset of the coalition without member.
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinchsec import (
@@ -21,9 +21,9 @@ from pinchsec import (
     uniform_layout,
     wavelengths,
 )
-from pinchsec.baselines import ula_secrecy_rate
+from pinchsec.baselines import _WALK_CHUNK, ula_secrecy_rate
 from pinchsec.geometry import Drop
-from helpers import brute_force_optimum, one_shot_table
+from helpers import brute_force_optimum, loop_annealing, one_shot_table
 
 
 def _drop_evaluator(seed=1, n=8, power_dbm=10.0):
@@ -158,6 +158,11 @@ def test_schedule_validation():
         AnnealingSchedule(cooling_factor=1.0)
     with pytest.raises(ValueError):
         AnnealingSchedule(cooling_factor=0.0)
+    # NaN would make every worse move a rejection; inf turns into NaN
+    # after one cooling step (inf * factor, then inf / inf)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            AnnealingSchedule(bad, 100)
     AnnealingSchedule(steps=0)          # zero steps is a legal no-op run
     AnnealingSchedule(cooling_factor=0.5)
 
@@ -214,6 +219,93 @@ def test_annealing_best_trace_is_monotone():
     assert all(b >= a for a, b in zip(trace, trace[1:]))
     assert trace[-1] == pytest.approx(value, rel=1e-12)
     assert value == pytest.approx(v(mask), rel=1e-12)
+
+
+def _hashed_values(scale):
+    """A pure value function with many ties: small integers times scale."""
+
+    def v(mask):
+        return ((mask * 0x9E3779B97F4A7C15 >> 17) % 9 - 4) * scale
+
+    return v
+
+
+def _cools_to_zero(schedule):
+    temperature = schedule.initial_temperature
+    for _ in range(schedule.steps):
+        temperature *= schedule.cooling_factor
+    return temperature == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64),
+       steps=st.sampled_from([0, 1, 2, _WALK_CHUNK - 1, _WALK_CHUNK, _WALK_CHUNK + 1])
+       | st.integers(0, 3 * _WALK_CHUNK),
+       temperature=st.sampled_from([1e-300, 1e-3, 0.1, 1.0, 10.0]),
+       cooling=st.none() | st.floats(0.99, 1.0, exclude_max=True),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_annealing_equals_the_loop_oracle(n, steps, temperature, cooling, scale, seed):
+    schedule = AnnealingSchedule(temperature, steps, cooling)
+    # the oracle divides by the temperature, so it cannot run a schedule
+    # that cools to zero; test_annealing_at_zero_temperature covers those
+    assume(not _cools_to_zero(schedule))
+    # at 1e-300 every worse move's exponent is clamped to -745
+    v = _hashed_values(scale)
+    trace, oracle_trace = [], []
+    result = simulated_annealing(v, n, schedule, seed=seed, best_trace=trace)
+    assert result == loop_annealing(v, n, schedule, seed=seed, best_trace=oracle_trace)
+    assert trace == oracle_trace
+
+
+@pytest.mark.parametrize("n", [3, 10, 28])
+def test_annealing_equals_the_loop_oracle_on_drops(n):
+    *_, v = _drop_evaluator(seed=n, n=n, power_dbm=20.0)
+    schedule = AnnealingSchedule(1.0, 3 * _WALK_CHUNK + 7)
+    trace, oracle_trace = [], []
+    result = simulated_annealing(v, n, schedule, seed=n, best_trace=trace)
+    assert result == loop_annealing(v, n, schedule, seed=n, best_trace=oracle_trace)
+    assert trace == oracle_trace
+
+
+def test_annealing_calls_v_once_per_distinct_mask():
+    values = _hashed_values(0.5)
+    calls = {}
+
+    def counting(mask):
+        calls[mask] = calls.get(mask, 0) + 1
+        return values(mask)
+
+    visited = set()
+
+    def recording(mask):
+        visited.add(mask)
+        return values(mask)
+
+    schedule = AnnealingSchedule(1.0, 2 * _WALK_CHUNK + 3)
+    assert (simulated_annealing(counting, 12, schedule, seed=4)
+            == loop_annealing(recording, 12, schedule, seed=4))
+    assert calls.keys() == visited
+    assert set(calls.values()) == {1}
+
+
+def test_annealing_at_zero_temperature():
+    # 1e-200 squared underflows, so from the third step on T = 0
+    *_, v = _drop_evaluator(seed=9, n=6)
+    mask, value = simulated_annealing(v, 6, AnnealingSchedule(1.0, 100, cooling_factor=1e-200),
+                                      seed=1)
+    assert value == v(mask)
+    # at T = 0 a worse move is rejected, the limit of exp(dv / T); the
+    # oracle at the smallest positive T clamps every worse move's exponent
+    # and so accepts one only on a uniform draw of exactly 0.0
+    frozen = AnnealingSchedule(5e-324, 3000, cooling_factor=0.5)
+    with pytest.raises(ZeroDivisionError):
+        loop_annealing(v, 6, frozen, seed=2)
+    trace, oracle_trace = [], []
+    result = simulated_annealing(v, 6, frozen, seed=2, best_trace=trace)
+    assert result == loop_annealing(v, 6, AnnealingSchedule(5e-324, 3000), seed=2,
+                                    best_trace=oracle_trace)
+    assert trace == oracle_trace
 
 
 def test_annealing_never_beats_the_exhaustive_optimum():

@@ -51,6 +51,8 @@ def _row_key(row):
     {"power_dbm_axis": (0.0, float("inf"))},
     {"power_dbm": float("nan")},
     {"convergence_power_dbm": float("-inf")},
+    {"sa_initial_temperature": float("nan")},
+    {"sa_initial_temperature": float("inf")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

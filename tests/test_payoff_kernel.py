@@ -158,3 +158,33 @@ def test_scan_matches_one_candidate_check_per_step():
         assert mask == ref_mask
         assert trace.steps == ref_trace.steps
         assert is_nash_stable(v, mask, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 10.0, 20.0, 30.0]))
+def test_converged_scans_are_nash_stable(n, seed, power_dbm):
+    layout, drop, v = _evaluator(n, seed, power_dbm)
+    mask, trace = run_activation(v, layout, drop.bob)
+    if trace.converged:
+        assert is_nash_stable(v, mask, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(-10.0, 40.0), st.data())
+def test_values_do_not_depend_on_antenna_labels(n, seed, power_dbm, data):
+    layout, drop, v = _evaluator(n, seed, power_dbm)
+    hb = channel_vector(SCENARIO, layout, drop.bob).coefficients
+    he = channel_vector(SCENARIO, layout, drop.eve).coefficients
+    # new antenna i is old antenna order[i]
+    order = data.draw(st.permutations(range(n)))
+    budget = LinkBudget(power_dbm, SCENARIO.noise_power_dbm)
+    relabelled = SecrecyEvaluator(hb[order], he[order], budget)
+    for _ in range(8):
+        mask = data.draw(st.integers(1, (1 << n) - 1))
+        moved = coalitions.from_members(i for i in range(n) if mask >> order[i] & 1)
+        rb, re = v.link_rates(mask)
+        moved_rb, moved_re = relabelled.link_rates(moved)
+        assert moved_rb == pytest.approx(rb, rel=1e-12)
+        assert moved_re == pytest.approx(re, rel=1e-12)
+        # the secrecy rate is a difference, so its error scales with the rates
+        assert abs(relabelled(moved) - v(mask)) <= 1e-12 * max(rb, re)
