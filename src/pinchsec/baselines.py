@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import wavelengths
-from .coalitions import ENUMERATION_CAP
+from .coalitions import ENUMERATION_CAP, full_mask
 from .game import (DEFAULT_MAX_CYCLES, CapacityError, GameTrace,
                    ValueFunction, _merge_split_scan, closest_antenna)
 from .geometry import AntennaLayout, Drop, Scenario
-from .secrecy import _INV_LN2, LinkBudget, SecrecyEvaluator
+from .secrecy import LinkBudget, SecrecyEvaluator
 
 # annealing draws its start as one unsigned 64-bit mask
 ANNEALING_MAX_ANTENNAS = 64
@@ -57,10 +57,10 @@ def brute_force_secrecy_optimum(bob_coeffs, eve_coeffs,
     """Exact best coalition for the secrecy objective.
 
     Returns (mask, secrecy rate, user rate, eavesdropper rate).  The masks
-    are ranked block by block (SecrecyEvaluator.value_blocks) and the one
-    chosen is scored by the evaluator's link_rates.  A later block must
-    beat the best so far strictly, and argmax returns a block's first
-    maximum, so ties keep the smallest mask.
+    are ranked block by block (SecrecyEvaluator.value_blocks), whose values
+    equal the evaluator's own, so the secrecy rate returned is the best
+    block value.  A later block must beat the best so far strictly, and
+    argmax returns a block's first maximum, so ties keep the smallest mask.
     """
     evaluator = _exhaustive_evaluator(bob_coeffs, eve_coeffs, budget)
     mask, best = 0, -np.inf
@@ -183,18 +183,18 @@ def coalition_value_activation(v: ValueFunction, layout: AntennaLayout, bob_posi
     ignores how the gain splits across members.
     """
 
-    def want_merge(vf, mask, n):
-        return vf(mask | (1 << n)) > vf(mask)
+    def want_merge(mask, n):
+        return v(mask | (1 << n)) > v(mask)
 
-    def want_split(vf, mask, n):
+    def want_split(mask, n):
         bit = 1 << n
         if mask == bit:
             return False
-        return vf(mask ^ bit) > vf(mask)
+        return v(mask ^ bit) > v(mask)
 
     start = 1 << closest_antenna(layout, bob_position)
     return _merge_split_scan(v, layout.n_antennas, start, want_merge, want_split,
-                             max_cycles, None)
+                             max_cycles)
 
 
 def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
@@ -203,8 +203,9 @@ def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
 
     The array sits at the centre of the service region at the same height
     as the waveguide, radiating all elements with equal power split and no
-    feed-line phase accumulation.  Returns (user rate, eavesdropper rate,
-    secrecy rate).
+    feed-line phase accumulation.  Its rates come from a SecrecyEvaluator
+    over the array's coefficients, all elements active.  Returns (user
+    rate, eavesdropper rate, secrecy rate).
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
@@ -220,7 +221,6 @@ def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
         phase = np.mod(2.0 * np.pi * d / wl.free_space, 2.0 * np.pi)
         return (wl.amplitude_factor / d) * np.exp(-1j * phase)
 
-    rho = budget.transmit_power_w / (n_antennas * budget.noise_power_w)
-    rb = math.log1p(rho * abs(coeffs(drop.bob).sum()) ** 2) * _INV_LN2
-    re = math.log1p(rho * abs(coeffs(drop.eve).sum()) ** 2) * _INV_LN2
+    evaluator = SecrecyEvaluator(coeffs(drop.bob), coeffs(drop.eve), budget)
+    rb, re = evaluator.link_rates(full_mask(n_antennas))
     return rb, re, rb - re

@@ -71,23 +71,9 @@ def _print_summary(result, paths):
         print(f"wrote {name}: {path}")
 
 
-def _cmd_power_sweep(args) -> int:
-    config = _build_config(args, "power-sweep")
-    result = run_power_sweep(config)
-    _print_summary(result, write_outputs(result, config))
-    return 0
-
-
-def _cmd_antenna_sweep(args) -> int:
-    config = _build_config(args, "antenna-sweep")
-    result = run_antenna_sweep(config)
-    _print_summary(result, write_outputs(result, config))
-    return 0
-
-
-def _cmd_convergence(args) -> int:
-    config = _build_config(args, "convergence")
-    result = run_convergence_study(config)
+def _cmd_study(args) -> int:
+    config = _build_config(args, args.command)
+    result = args.study(config)
     _print_summary(result, write_outputs(result, config))
     return 0
 
@@ -169,18 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power-sweep", parents=[sweep],
                        help="secrecy rate vs transmit power")
     p.add_argument("--powers", metavar="LIST", help="dBm values, comma separated")
-    p.set_defaults(entry=_cmd_power_sweep)
+    p.set_defaults(entry=_cmd_study, study=run_power_sweep)
 
     p = sub.add_parser("antenna-sweep", parents=[sweep],
                        help="secrecy rate vs antenna count")
     p.add_argument("--antenna-counts", metavar="LIST", help="comma separated counts")
     p.add_argument("--power", type=float, metavar="DBM", help="fixed transmit power")
-    p.set_defaults(entry=_cmd_antenna_sweep)
+    p.set_defaults(entry=_cmd_study, study=run_antenna_sweep)
 
     p = sub.add_parser("convergence", parents=[sweep],
                        help="game trajectories vs the exhaustive optimum")
     p.add_argument("--power", type=float, metavar="DBM", help="fixed transmit power")
-    p.set_defaults(entry=_cmd_convergence)
+    p.set_defaults(entry=_cmd_study, study=run_convergence_study)
 
     p = sub.add_parser("single-drop", parents=[common],
                        help="print channels, trace, and payoffs for one trial")

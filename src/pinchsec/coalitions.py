@@ -4,7 +4,7 @@ Bit n set means antenna n (0-based) is active.  Masks index directly into
 value tables of length 2**N, which keeps subset enumeration cheap.
 """
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,8 +12,7 @@ import numpy as np
 # subsets holds 2^N entries, and the exhaustive search visits 2^N masks
 ENUMERATION_CAP = 24
 
-# subset_sizes and bit_reversal keep their arrays up to this member count
-# (64 KiB and 512 KiB at 16)
+# subset_sizes keeps its arrays up to this member count (64 KiB at 16)
 _CACHED_SIZES = 16
 
 
@@ -49,41 +48,23 @@ def validate(mask: int, n_antennas: int) -> None:
         raise ValueError(f"coalition mask {mask} out of range for {n_antennas} antennas")
 
 
-def _doubling(n_members: int, dtype, step) -> np.ndarray:
-    """Read-only array over 0 .. 2**n_members - 1 with entry i + 2**k equal
-    to entry i plus step(k) for every i below 2**k."""
-    out = np.zeros(1 << n_members, dtype=dtype)
+def _bit_counts(n_members: int) -> np.ndarray:
+    out = np.zeros(1 << n_members, dtype=np.uint8)
     for k in range(n_members):
-        out[1 << k:2 << k] = out[:1 << k] + step(k)
+        np.add(out[:1 << k], 1, out=out[1 << k:2 << k])
     out.flags.writeable = False
     return out
 
 
-def _cache_small(build):
-    """Keep build(n) for n up to _CACHED_SIZES; build larger arrays afresh."""
-    cached = lru_cache(maxsize=None)(build)
-
-    @wraps(build)
-    def lookup(n_members: int) -> np.ndarray:
-        return cached(n_members) if n_members <= _CACHED_SIZES else build(n_members)
-    return lookup
+_cached_bit_counts = lru_cache(maxsize=None)(_bit_counts)
 
 
-@_cache_small
 def subset_sizes(n_members: int) -> np.ndarray:
     """Bit count of every index 0 .. 2**n_members - 1, as a read-only array.
 
     Index i of a subset table over n_members members is the subset whose
     members are the set bits of i, so this is the size of every subset.
     """
-    return _doubling(n_members, np.uint8, lambda k: 1)
-
-
-@_cache_small
-def bit_reversal(n_members: int) -> np.ndarray:
-    """Every index 0 .. 2**n_members - 1 with its n_members bits reversed.
-
-    Taking a subset table through it swaps the member order its bits stand
-    for, highest first against lowest first; reversal is its own inverse.
-    """
-    return _doubling(n_members, np.intp, lambda k: 1 << (n_members - 1 - k))
+    if n_members <= _CACHED_SIZES:
+        return _cached_bit_counts(n_members)
+    return _bit_counts(n_members)

@@ -263,9 +263,11 @@ def closest_antenna(layout: AntennaLayout, bob_position) -> int:
 
 
 def _merge_split_scan(v: ValueFunction, n_antennas: int, start: int,
-                      want_merge, want_split,
-                      max_cycles: int, scan_rng=None) -> tuple[int, GameTrace]:
-    """Shared scan loop: apply merge/split decisions until a quiet cycle."""
+                      want_merge, want_split, max_cycles: int) -> tuple[int, GameTrace]:
+    """Shared scan loop: apply merge/split decisions until a quiet cycle.
+
+    want_merge(mask, n) and want_split(mask, n) decide each antenna's move.
+    """
     mask = start
     steps: list[TraceStep] = []
     converged = False
@@ -273,17 +275,15 @@ def _merge_split_scan(v: ValueFunction, n_antennas: int, start: int,
     for cycle in range(1, max_cycles + 1):
         cycles = cycle
         changed = False
-        order = range(n_antennas) if scan_rng is None else scan_rng.permutation(n_antennas)
-        for n in order:
-            n = int(n)
+        for n in range(n_antennas):
             bit = 1 << n
             action = "none"
             if mask & bit:
-                if want_split(v, mask, n):
+                if want_split(mask, n):
                     mask ^= bit
                     action = "split"
                     changed = True
-            elif want_merge(v, mask, n):
+            elif want_merge(mask, n):
                 mask |= bit
                 action = "merge"
                 changed = True
@@ -296,27 +296,25 @@ def _merge_split_scan(v: ValueFunction, n_antennas: int, start: int,
 
 def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
                    max_cycles: int = DEFAULT_MAX_CYCLES,
-                   cap: int = ENUMERATION_CAP,
-                   scan_rng=None) -> tuple[int, GameTrace]:
+                   cap: int = ENUMERATION_CAP) -> tuple[int, GameTrace]:
     """Payoff-driven activation starting from the antenna closest to the user.
 
     Returns the final coalition mask and the full trace.  A converged trace
     means a complete scan produced no move; cap exhaustion is reported via
-    trace.converged = False rather than an error.  Passing a seeded
-    generator as scan_rng shuffles the scan order each cycle (sensitivity
-    experiments); the default is ascending index order.
+    trace.converged = False rather than an error.  Each cycle scans the
+    antennas in ascending index order.
     """
     start = 1 << closest_antenna(layout, bob_position)
     payoff = _payoff_lookup(v, cap)     # kept for the whole scan
 
-    def want_merge(vf, mask, n):
-        return _joins(vf, mask, n, payoff)
+    def want_merge(mask, n):
+        return _joins(v, mask, n, payoff)
 
-    def want_split(vf, mask, n):
-        return _leaves(vf, mask, n, payoff)
+    def want_split(mask, n):
+        return _leaves(v, mask, n, payoff)
 
     return _merge_split_scan(v, layout.n_antennas, start, want_merge, want_split,
-                             max_cycles, scan_rng)
+                             max_cycles)
 
 
 def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int,

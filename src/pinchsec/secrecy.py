@@ -8,7 +8,6 @@ legitimate link's rate minus the eavesdropper's, not clamped at zero.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -17,12 +16,8 @@ from .channel import ChannelVector
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
-# log1p arguments handed to math.log1p per batch, which bounds the
-# temporary Python list a large subset table needs
-_LOG1P_BATCH = 1 << 15
-
 # value_blocks spans the low 14 antennas per block: 16384 masks, whose
-# buffers (four planes of sums, two of gains) stay in cache
+# buffers (four planes of sums, two of rates, one of values) stay in cache
 _BLOCK_BITS = 14
 
 
@@ -61,30 +56,29 @@ class SecrecyEvaluator:
 
     v(S) is the secrecy rate of activation mask S, with the convention
     v(empty) = 0 so that subset-weighted payoff sums are anchored at zero.
-    Effective-channel sums are accumulated incrementally and cached, which
-    makes the repeated subset lookups of payoff computations cheap.
+    Every value, whether looked up one mask at a time, as a payoff table or
+    block by block, comes from one kernel: coefficient sums added in
+    ascending antenna order, then rho * |h|^2, numpy's log1p and the
+    1/ln 2 scale, bob minus eve.  So all three paths agree bit for bit.
 
     Instances are bound to one drop; do not share them across drops.
     """
 
     def __init__(self, bob_channels, eve_channels, budget: LinkBudget):
-        self._hb = [complex(c) for c in _coeffs(bob_channels)]
-        self._he = [complex(c) for c in _coeffs(eve_channels)]
-        if len(self._hb) != len(self._he):
+        hb = np.asarray(_coeffs(bob_channels), dtype=np.complex128)
+        he = np.asarray(_coeffs(eve_channels), dtype=np.complex128)
+        if len(hb) != len(he):
             raise ValueError("bob and eve channel vectors must have equal length")
-        self._n = len(self._hb)
-        self._power_w = budget.transmit_power_w
-        self._noise_w = budget.noise_power_w
-        # the table builder's inputs: coefficient parts as four planes (bob
-        # re, bob im, eve re, eve im) by antenna, and rho by active count
-        self._coeffs = np.array([[h.real for h in self._hb], [h.imag for h in self._hb],
-                                 [h.real for h in self._he], [h.imag for h in self._he]],
-                                dtype=np.float64).reshape(4, self._n)
+        self._n = len(hb)
+        self._hb, self._he = hb.tolist(), he.tolist()
+        # the kernel's inputs: coefficient parts as four planes (bob re,
+        # bob im, eve re, eve im) by antenna, and rho by active count
+        self._coeffs = np.stack([hb.real, hb.imag, he.real, he.imag])
         if not np.isfinite(self._coeffs).all():
             raise ValueError("channel coefficients must be finite")
-        self._rho = np.array([0.0] + [self._power_w / (k * self._noise_w)
-                                      for k in range(1, self._n + 1)])
-        self._sums: dict[int, tuple[complex, complex]] = {0: (0j, 0j)}
+        active = np.arange(1, self._n + 1)
+        self._rho = np.concatenate(([0.0], budget.transmit_power_w
+                                    / (active * budget.noise_power_w)))
         self._memo: dict[int, float] = {0: 0.0}
 
     @property
@@ -92,36 +86,25 @@ class SecrecyEvaluator:
         return self._n
 
     def channel_sums(self, mask: int) -> tuple[complex, complex]:
-        """Effective channels (bob, eve) for a mask; cached."""
-        sums = self._sums
-        found = sums.get(mask)
-        if found is not None:
-            return found
+        """Effective channels (bob, eve) for a mask, added lowest antenna first."""
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
-        # walk down by clearing the lowest bit until a cached prefix is hit
-        pending = []
-        m = mask
-        while m not in sums:
-            pending.append(m)
-            m &= m - 1
-        hb, he = sums[m]
-        for mm in reversed(pending):
-            idx = (mm & -mm).bit_length() - 1
-            hb, he = sums[mm & (mm - 1)]
-            hb = hb + self._hb[idx]
-            he = he + self._he[idx]
-            sums[mm] = (hb, he)
-        return sums[mask]
+        hb = he = 0j
+        for n in coalitions.members(mask):
+            hb += self._hb[n]
+            he += self._he[n]
+        return hb, he
 
     def link_rates(self, mask: int) -> tuple[float, float]:
         """(bob rate, eve rate) in bits/s/Hz for a nonempty mask."""
         if mask == 0:
             raise ValueError("at least one antenna must be active")
         hb, he = self.channel_sums(mask)
-        rho = self._power_w / (mask.bit_count() * self._noise_w)
-        rb = math.log1p(rho * (hb.real * hb.real + hb.imag * hb.imag)) * _INV_LN2
-        re = math.log1p(rho * (he.real * he.real + he.imag * he.imag)) * _INV_LN2
+        rho = self._rho.item(mask.bit_count())
+        # the kernel's arithmetic on one mask: numpy's log1p gives a Python
+        # float the same bits as an array entry
+        rb = float(np.log1p((hb.real * hb.real + hb.imag * hb.imag) * rho)) * _INV_LN2
+        re = float(np.log1p((he.real * he.real + he.imag * he.imag) * rho)) * _INV_LN2
         return rb, re
 
     def _subset_sums(self, rows) -> np.ndarray:
@@ -138,58 +121,54 @@ class SecrecyEvaluator:
             np.add(sums[:, :half], self._coeffs[:, row, None], out=sums[:, half:2 * half])
         return sums
 
-    def _gains(self, sums: np.ndarray, rho: np.ndarray, out=None) -> np.ndarray:
-        """rho * |h|^2 of (bob, eve) as two planes.
+    @staticmethod
+    def _values(sums: np.ndarray, rho, rates=None, out=None) -> np.ndarray:
+        """The kernel: v from four planes of coefficient sums and each
+        entry's SNR scale rho.
 
-        Takes the four planes of coefficient sums, which it squares in
-        place, and each entry's SNR scale rho.
+        Squares the sums in place; rates (two planes) and out (one) are
+        optional buffers for the link rates and the values.
         """
         np.multiply(sums, sums, out=sums)
-        gains = np.add(sums[0::2], sums[1::2], out=out)
-        gains *= rho
-        return gains
+        rates = np.add(sums[0::2], sums[1::2], out=rates)
+        rates *= rho
+        np.log1p(rates, out=rates)
+        rates *= _INV_LN2
+        return np.subtract(rates[0], rates[1], out=out)
 
     def subset_values(self, mask: int) -> np.ndarray:
         """v over every subset of a mask, as one array of 2^|mask| entries.
 
         Bit i of an index stands for the i-th lowest member of the mask, so
-        entry 0 is v(empty) = 0 and the last entry is v(mask).  Members are
-        added highest first, the order channel_sums accumulates in, and
-        every rate goes through math.log1p as in link_rates, so each entry
+        entry 0 is v(empty) = 0 and the last entry is v(mask); each entry
         equals self(sub) bit for bit.  Holds 48 bytes per entry at its
         peak.  Nothing is memoized.
         """
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        k = len(members)
-        flat = self._gains(self._subset_sums(members[::-1]),
-                           self._rho[coalitions.subset_sizes(k)]).reshape(-1)
-        rates = np.fromiter(chain.from_iterable(
-            map(math.log1p, flat[lo:lo + _LOG1P_BATCH].tolist())
-            for lo in range(0, flat.size, _LOG1P_BATCH)), np.float64, flat.size).reshape(2, -1)
-        rates *= _INV_LN2
-        return (rates[0] - rates[1])[coalitions.bit_reversal(k)]
+        return self._values(self._subset_sums(members),
+                            self._rho[coalitions.subset_sizes(len(members))])
 
     def value_blocks(self):
         """Secrecy rate of every mask, in ascending blocks of 2^14 masks.
 
         Yields (first mask, values); values is one buffer, reused, so it
         holds a block only until the next is drawn.  Entry 0 of the first
-        block, the empty mask, is -inf.  Rates go through numpy's log1p,
-        which may differ from math.log1p in the last bit.
+        block, the empty mask, is -inf; every other entry equals self(mask)
+        bit for bit.
 
         One table holds the sums of the low antennas; each block adds its
         set high antennas to them one at a time, in ascending order, so
-        every sum adds its antennas in index order, as one doubling over
-        all n antennas would.  Buffers take about 2 MiB whatever n is.
+        every sum adds its antennas in index order.  Buffers take about
+        2 MiB whatever n is.
         """
         low_bits = min(self._n, _BLOCK_BITS)
         low = self._subset_sums(range(low_bits))
         low_sizes = coalitions.subset_sizes(low_bits)
         sums = np.empty_like(low)
         rho = np.empty(low.shape[1])
-        gains = np.empty((2, low.shape[1]))
+        rates = np.empty((2, low.shape[1]))
         values = np.empty(low.shape[1])
         for high in range(1 << (self._n - low_bits)):
             if high:
@@ -202,10 +181,7 @@ class SecrecyEvaluator:
             # rho by each mask's active count, the low part's plus high's; the
             # counts are in range, and "clip" spares take a buffered copy
             np.take(self._rho[high.bit_count():], low_sizes, out=rho, mode="clip")
-            self._gains(sums, rho, out=gains)
-            np.log1p(gains, out=gains)
-            gains *= _INV_LN2
-            np.subtract(gains[0], gains[1], out=values)
+            self._values(sums, rho, rates, values)
             if not high:
                 values[0] = -np.inf
             yield high << low_bits, values

@@ -109,6 +109,12 @@ def test_streamed_search_matches_the_one_shot_table(n, seed, power_dbm):
     mask, value, rb, re = brute_force_secrecy_optimum(hb, he, budget)
     assert mask == int(np.argmax(table))
     assert value == rb - re
+    # one kernel: the block values, the scalar lookups and the optimum's
+    # score agree bit for bit
+    assert value == table[mask]
+    v = SecrecyEvaluator(hb, he, budget)
+    for m in rng.integers(1, 1 << n, size=8).tolist() + [(1 << n) - 1]:
+        assert v(m) == table[m]
 
 
 @pytest.mark.parametrize("twin", [3, 15])

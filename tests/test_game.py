@@ -230,21 +230,6 @@ def test_activation_is_deterministic_without_scan_rng():
     assert first[1].steps == second[1].steps
 
 
-def test_activation_with_shuffled_scan_still_stabilizes():
-    s = Scenario()
-    layout = uniform_layout(s, 8)
-    budget = LinkBudget.from_scenario(s, transmit_power_dbm=10.0)
-    rng = np.random.default_rng(41)
-    for _ in range(5):
-        drop = sample_drop(s, rng)
-        v = SecrecyEvaluator(channel_vector(s, layout, drop.bob),
-                             channel_vector(s, layout, drop.eve), budget)
-        mask, trace = run_activation(v, layout, drop.bob,
-                                     scan_rng=np.random.default_rng(8))
-        assert trace.converged
-        assert is_nash_stable(v, mask, 8)
-
-
 def test_payoff_reports_cover_every_antenna():
     v = TRIO_TABLE.__getitem__
     reports = payoff_reports(v, 0b101, 3)

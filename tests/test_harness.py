@@ -377,7 +377,7 @@ def test_coalition_past_shapley_cap_names_its_trial(workers):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 12), power_dbm=st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+@given(n=st.integers(1, 20), power_dbm=st.sampled_from([0.0, 10.0, 20.0, 30.0]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_no_method_beats_the_exact_optimum(n, power_dbm, seed):
     # fixed-ula is left out: it is another array, not a coalition of these antennas
