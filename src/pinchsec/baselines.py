@@ -6,8 +6,9 @@
   at 24 (process CPU time on a 2-core host), a third or less of what one
   2^N table took, with the same choices;
 * simulated annealing over subsets (scales past the exhaustive limit);
-* a value-only variant of the activation scan that moves on raw coalition
-  value changes instead of payoff comparisons;
+* the activation game's scan with a value-only move rule: an antenna
+  flips when the flip strictly raises the coalition value, instead of on
+  payoff comparisons;
 * a conventional half-wavelength array at the region centre, all elements
   always active.
 """
@@ -19,8 +20,7 @@ import numpy as np
 
 from .channel import wavelengths
 from .coalitions import ENUMERATION_CAP, full_mask
-from .game import (DEFAULT_MAX_CYCLES, CapacityError, GameTrace,
-                   ValueFunction, _merge_split_scan, closest_antenna)
+from .game import DEFAULT_MAX_CYCLES, CapacityError, GameTrace, ValueFunction, _scan
 from .geometry import AntennaLayout, Drop, Scenario
 from .secrecy import LinkBudget, SecrecyEvaluator
 
@@ -178,23 +178,16 @@ def coalition_value_activation(v: ValueFunction, layout: AntennaLayout, bob_posi
     """Activation scan driven by raw value changes, not member payoffs.
 
     Same starting point and scan order as the payoff-driven game: an
-    outsider joins when v strictly rises, a member leaves when v strictly
-    rises, singletons never empty.  Greedy on the group objective, so it
-    ignores how the gain splits across members.
+    antenna joins or leaves when that strictly raises v, and singletons
+    never empty.  Greedy on the group objective, so it ignores how the gain
+    splits across members.
     """
 
-    def want_merge(mask, n):
-        return v(mask | (1 << n)) > v(mask)
+    def flips(mask, n):
+        proposal = mask ^ (1 << n)
+        return proposal != 0 and v(proposal) > v(mask)
 
-    def want_split(mask, n):
-        bit = 1 << n
-        if mask == bit:
-            return False
-        return v(mask ^ bit) > v(mask)
-
-    start = 1 << closest_antenna(layout, bob_position)
-    return _merge_split_scan(v, layout.n_antennas, start, want_merge, want_split,
-                             max_cycles)
+    return _scan(v, layout, bob_position, flips, max_cycles)
 
 
 def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,

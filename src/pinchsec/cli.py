@@ -8,53 +8,29 @@ game trace, and payoffs for eyeballing.
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import coalitions
 from .coalitions import ENUMERATION_CAP
 from .game import payoff_reports
-from .harness import (METHODS, ExperimentConfig, apply_overrides, build_trial,
+from .harness import (_INI_FIELDS, METHODS, ExperimentConfig, apply_overrides, build_trial,
                       config_from_ini, run_antenna_sweep,
                       run_convergence_study, run_power_sweep, write_outputs)
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(piece) for piece in text.split(",") if piece.strip())
+# a flag's dest is the ExperimentConfig field it sets; --config and --trial set none
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_PARSE = {entry.name: entry.parse for entry in _INI_FIELDS}
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(piece) for piece in text.split(",") if piece.strip())
-
-
-def _build_config(args, command: str) -> ExperimentConfig:
+def _build_config(args) -> ExperimentConfig:
     config = config_from_ini(args.config) if args.config else ExperimentConfig()
-    # the sweep flags are absent from single-drop's namespace
-    overrides = {
-        "master_seed": args.seed,
-        "trials": getattr(args, "trials", None),
-        "workers": getattr(args, "workers", None),
-        "out_dir": getattr(args, "out", None),
-        "n_antennas": args.antennas,
-        "sa_steps": getattr(args, "sa_steps", None),
-        "sa_initial_temperature": getattr(args, "sa_temperature", None),
-        "timing": True if getattr(args, "timing", False) else None,
-    }
-    if getattr(args, "methods", None) is not None:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if getattr(args, "powers", None) is not None:
-        overrides["power_dbm_axis"] = _parse_floats(args.powers)
-    if getattr(args, "antenna_counts", None) is not None:
-        overrides["antenna_axis"] = _parse_ints(args.antenna_counts)
-    power = getattr(args, "power", None)
-    if power is not None:
-        if command == "convergence":
-            overrides["convergence_power_dbm"] = power
-        else:
-            overrides["power_dbm"] = power
-    config = apply_overrides(config, **overrides)
-    if config.out_dir is None and command != "single-drop":
-        config = apply_overrides(config, out_dir=f"results/{command}")
+    config = apply_overrides(config, **{name: value for name, value in vars(args).items()
+                                        if name in _FIELDS})
+    if config.out_dir is None and args.command != "single-drop":
+        config = apply_overrides(config, out_dir=f"results/{args.command}")
     return config
 
 
@@ -72,17 +48,17 @@ def _print_summary(result, paths):
 
 
 def _cmd_study(args) -> int:
-    config = _build_config(args, args.command)
+    config = _build_config(args)
     result = args.study(config)
     _print_summary(result, write_outputs(result, config))
     return 0
 
 
 def _cmd_single_drop(args) -> int:
-    config = _build_config(args, "single-drop")
+    config = _build_config(args)
     scenario = config.scenario
     n = config.n_antennas
-    power = config.power_dbm if args.power is None else args.power
+    power = config.power_dbm
     trial = build_trial(config, 0, args.trial, n, power)
     drop = trial.drop
 
@@ -133,44 +109,51 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pinchsec",
         description="Monte Carlo secrecy-rate experiments for pinching-antenna "
                     "activation along a dielectric waveguide.")
+
+    def flag(target, option, name, **kwargs):
+        """An option that sets config field name, parsed as the INI reader parses it."""
+        target.add_argument(option, dest=name, type=_PARSE[name], **kwargs)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    common.add_argument("--antennas", type=int, metavar="N",
-                        help="antenna count for fixed-N studies")
+    flag(common, "--seed", "master_seed", metavar="U64", help="master seed")
+    flag(common, "--antennas", "n_antennas", metavar="N",
+         help="antenna count for fixed-N studies")
     # what only a study uses; single-drop refuses these flags
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
-    sweep.add_argument("--trials", type=int, metavar="N")
-    sweep.add_argument("--workers", type=int, metavar="N", help="process pool size")
-    sweep.add_argument("--out", metavar="DIR", help="output directory")
-    sweep.add_argument("--methods", metavar="LIST",
-                       help="comma separated subset of: " + ", ".join(METHODS))
-    sweep.add_argument("--sa-steps", type=int, dest="sa_steps", metavar="N")
-    sweep.add_argument("--sa-temperature", type=float, dest="sa_temperature", metavar="T")
-    sweep.add_argument("--timing", action="store_true",
+    study = argparse.ArgumentParser(add_help=False, parents=[common])
+    flag(study, "--trials", "trials", metavar="N")
+    flag(study, "--workers", "workers", metavar="N", help="process pool size")
+    flag(study, "--out", "out_dir", metavar="DIR", help="output directory")
+    flag(study, "--sa-steps", "sa_steps", metavar="N")
+    flag(study, "--sa-temperature", "sa_initial_temperature", metavar="T")
+    study.add_argument("--timing", action="store_true", default=None,
                        help="also write per-row wall times (timings.csv)")
+    # convergence always runs the two games and its reference
+    sweep = argparse.ArgumentParser(add_help=False, parents=[study])
+    flag(sweep, "--methods", "methods", metavar="LIST",
+         help="comma separated subset of: " + ", ".join(METHODS))
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("power-sweep", parents=[sweep],
                        help="secrecy rate vs transmit power")
-    p.add_argument("--powers", metavar="LIST", help="dBm values, comma separated")
+    flag(p, "--powers", "power_dbm_axis", metavar="LIST", help="dBm values, comma separated")
     p.set_defaults(entry=_cmd_study, study=run_power_sweep)
 
     p = sub.add_parser("antenna-sweep", parents=[sweep],
                        help="secrecy rate vs antenna count")
-    p.add_argument("--antenna-counts", metavar="LIST", help="comma separated counts")
-    p.add_argument("--power", type=float, metavar="DBM", help="fixed transmit power")
+    flag(p, "--antenna-counts", "antenna_axis", metavar="LIST", help="comma separated counts")
+    flag(p, "--power", "power_dbm", metavar="DBM", help="fixed transmit power")
     p.set_defaults(entry=_cmd_study, study=run_antenna_sweep)
 
-    p = sub.add_parser("convergence", parents=[sweep],
+    p = sub.add_parser("convergence", parents=[study],
                        help="game trajectories vs the exhaustive optimum")
-    p.add_argument("--power", type=float, metavar="DBM", help="fixed transmit power")
+    flag(p, "--power", "convergence_power_dbm", metavar="DBM", help="fixed transmit power")
     p.set_defaults(entry=_cmd_study, study=run_convergence_study)
 
     p = sub.add_parser("single-drop", parents=[common],
                        help="print channels, trace, and payoffs for one trial")
-    p.add_argument("--power", type=float, metavar="DBM", help="transmit power")
+    flag(p, "--power", "power_dbm", metavar="DBM", help="transmit power")
     p.add_argument("--trial", type=int, default=0, metavar="N")
     p.set_defaults(entry=_cmd_single_drop)
     return parser

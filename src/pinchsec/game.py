@@ -16,14 +16,16 @@ marginal contribution: the value change the coalition would see if it
 joined (or, for a member, if it left).
 
 Activation starts from the single antenna closest to the legitimate user
-and repeatedly scans all antennas in index order.  An outsider joins when
-the payoff it would earn inside strictly beats its stay-out score; a
-member leaves when its leave score strictly beats its payoff (never
-emptying the coalition).  The loop stops after a full scan with no moves,
-at which point no antenna can improve its payoff by unilaterally joining
-or leaving (Nash stability), or after a cycle cap.  A scan keeps the
-payoffs of every coalition it has scored, so each coalition's table is
-built once per scan.
+and repeatedly scans all antennas in index order, flipping antenna n in
+or out whenever a move rule flips(mask, n) says so.  The game's rule: an
+outsider joins when the payoff it would earn inside strictly beats its
+stay-out score; a member leaves when its leave score strictly beats its
+payoff (never emptying the coalition).  The loop stops after a full scan
+with no moves, at which point no antenna can improve its payoff by
+unilaterally joining or leaving (Nash stability), or after a cycle cap.
+The rule keeps the payoffs of every coalition it has scored, so each
+coalition's table is built once per scan.  The value-driven baseline runs
+the same scan with its own rule.
 """
 
 import math
@@ -152,8 +154,14 @@ def outside_payoff(v: ValueFunction, coalition: int, antenna: int) -> float:
     return v(coalition) - v(coalition | bit)
 
 
-def _payoff_lookup(v: ValueFunction, cap: int) -> Callable[[int, int], float]:
-    """payoff(coalition, member) that computes each coalition's payoffs once."""
+def _payoff_rule(v: ValueFunction, cap: int) -> Callable[[int, int], bool]:
+    """flips(mask, n): the payoff game's move rule for antenna n.
+
+    A member flips (leaves) when its leave score strictly beats its payoff,
+    never emptying the coalition; an outsider flips (joins) when the payoff
+    it would earn inside strictly beats its stay-out score.  Each
+    coalition's payoffs are computed once and kept for the rule's life.
+    """
     scored = {}     # coalition mask -> its members' payoffs
 
     def payoff(coalition, member):
@@ -161,19 +169,13 @@ def _payoff_lookup(v: ValueFunction, cap: int) -> Callable[[int, int], float]:
         if payoffs is None:
             payoffs = scored[coalition] = _coalition_payoffs(v, coalition, cap)
         return float(payoffs[_local_index(coalition, member)])
-    return payoff
 
-
-def _joins(v: ValueFunction, coalition: int, antenna: int, payoff) -> bool:
-    """The merge rule, with member payoffs from payoff(coalition, member)."""
-    return payoff(coalition | (1 << antenna), antenna) > outside_payoff(v, coalition, antenna)
-
-
-def _leaves(v: ValueFunction, coalition: int, antenna: int, payoff) -> bool:
-    """The split rule, with member payoffs from payoff(coalition, member)."""
-    if coalition == 1 << antenna:
-        return False
-    return outside_payoff(v, coalition, antenna) > payoff(coalition, antenna)
+    def flips(mask, n):
+        bit = 1 << n
+        if mask & bit:
+            return mask != bit and outside_payoff(v, mask, n) > payoff(mask, n)
+        return payoff(mask | bit, n) > outside_payoff(v, mask, n)
+    return flips
 
 
 def merge_candidate(v: ValueFunction, coalition: int, antenna: int,
@@ -184,7 +186,7 @@ def merge_candidate(v: ValueFunction, coalition: int, antenna: int,
     """
     if coalition & (1 << antenna):
         raise ValueError(f"antenna {antenna} already in the coalition")
-    return _joins(v, coalition, antenna, _payoff_lookup(v, cap))
+    return _payoff_rule(v, cap)(coalition, antenna)
 
 
 def split_candidate(v: ValueFunction, coalition: int, antenna: int,
@@ -192,7 +194,7 @@ def split_candidate(v: ValueFunction, coalition: int, antenna: int,
     """True if a member strictly gains by leaving; singletons never split."""
     if not coalition & (1 << antenna):
         raise ValueError(f"antenna {antenna} is not in the coalition")
-    return _leaves(v, coalition, antenna, _payoff_lookup(v, cap))
+    return _payoff_rule(v, cap)(coalition, antenna)
 
 
 @dataclass(frozen=True)
@@ -213,11 +215,11 @@ class GameTrace:
     cycles_used: int
 
     def to_rows(self) -> list[dict]:
-        """Flat dict rows (one per examined antenna) for CSV emission."""
+        """Flat dict rows (one per examined antenna) in trace.csv column order."""
         return [
             {
-                "step": i + 1,
                 "cycle": s.cycle,
+                "step": i + 1,
                 "antenna": s.antenna,
                 "action": s.action,
                 "coalition_mask": s.coalition,
@@ -262,30 +264,26 @@ def closest_antenna(layout: AntennaLayout, bob_position) -> int:
     return int(np.argmin(np.abs(np.asarray(layout.positions_x) - x)))
 
 
-def _merge_split_scan(v: ValueFunction, n_antennas: int, start: int,
-                      want_merge, want_split, max_cycles: int) -> tuple[int, GameTrace]:
-    """Shared scan loop: apply merge/split decisions until a quiet cycle.
+def _scan(v: ValueFunction, layout: AntennaLayout, bob_position,
+          flips: Callable[[int, int], bool], max_cycles: int) -> tuple[int, GameTrace]:
+    """The scan both activation methods share.
 
-    want_merge(mask, n) and want_split(mask, n) decide each antenna's move.
+    Starts from the antenna closest to the user and flips antenna n in or
+    out whenever flips(mask, n), scanning in index order until a cycle with
+    no flip or the cycle cap.
     """
-    mask = start
+    mask = 1 << closest_antenna(layout, bob_position)
     steps: list[TraceStep] = []
     converged = False
     cycles = 0
     for cycle in range(1, max_cycles + 1):
         cycles = cycle
         changed = False
-        for n in range(n_antennas):
-            bit = 1 << n
+        for n in range(layout.n_antennas):
             action = "none"
-            if mask & bit:
-                if want_split(mask, n):
-                    mask ^= bit
-                    action = "split"
-                    changed = True
-            elif want_merge(mask, n):
-                mask |= bit
-                action = "merge"
+            if flips(mask, n):
+                mask ^= 1 << n
+                action = "merge" if mask >> n & 1 else "split"
                 changed = True
             steps.append(TraceStep(cycle, n, action, mask, v(mask)))
         if not changed:
@@ -304,17 +302,7 @@ def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
     trace.converged = False rather than an error.  Each cycle scans the
     antennas in ascending index order.
     """
-    start = 1 << closest_antenna(layout, bob_position)
-    payoff = _payoff_lookup(v, cap)     # kept for the whole scan
-
-    def want_merge(mask, n):
-        return _joins(v, mask, n, payoff)
-
-    def want_split(mask, n):
-        return _leaves(v, mask, n, payoff)
-
-    return _merge_split_scan(v, layout.n_antennas, start, want_merge, want_split,
-                             max_cycles)
+    return _scan(v, layout, bob_position, _payoff_rule(v, cap), max_cycles)
 
 
 def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int,
@@ -328,9 +316,5 @@ def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int,
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
     coalitions.validate(coalition, n_antennas)
-    payoff = _payoff_lookup(v, cap)
-    for n in range(n_antennas):
-        move = _leaves if coalition & (1 << n) else _joins
-        if move(v, coalition, n, payoff):
-            return False
-    return True
+    flips = _payoff_rule(v, cap)
+    return not any(flips(coalition, n) for n in range(n_antennas))

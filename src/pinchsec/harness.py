@@ -91,8 +91,10 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate method names")
+        for name in ("power_dbm_axis", "antenna_axis", "methods"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
         if self.workers < 1:
@@ -338,15 +340,8 @@ def _convergence_extras(trial: Trial, rows, traces, sweep_value):
             optimum_value=ref_value, optimum_ratio=ratio(row.secrecy_rate),
             reference_method=reference))
 
-    trace_rows = []
-    for method, trace in traces.items():
-        for r in trace.to_rows():
-            trace_rows.append({
-                "method": method, "trial": trial.trial_idx, "cycle": r["cycle"],
-                "step": r["step"], "antenna": r["antenna"], "action": r["action"],
-                "coalition_mask": r["coalition_mask"],
-                "coalition_size": r["coalition_size"], "value": r["value"],
-            })
+    trace_rows = [{"method": method, "trial": trial.trial_idx, **row}
+                  for method, trace in traces.items() for row in trace.to_rows()]
     return out, trace_rows
 
 
@@ -537,8 +532,10 @@ def _parser(kind) -> Callable[[str], object]:
     """Text to value for a field annotated as kind; tuples are comma lists."""
     if get_origin(kind) is tuple:
         item = _parser(get_args(kind)[0])
-        return lambda text: tuple(item(piece.strip()) for piece in text.split(",")
-                                  if piece.strip())
+
+        def comma_list(text):
+            return tuple(item(piece.strip()) for piece in text.split(",") if piece.strip())
+        return comma_list
     return _parse_bool if kind is bool else kind
 
 
@@ -581,15 +578,27 @@ def effective_config_ini(config: ExperimentConfig) -> str:
 
 
 def config_from_ini(path) -> ExperimentConfig:
-    """Load an ExperimentConfig from an INI file; absent keys keep defaults."""
+    """Load an ExperimentConfig from an INI file; absent keys keep defaults.
+
+    A section or key the field table does not know is refused, so a typo
+    cannot silently leave its field at the default.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path, encoding="utf-8")
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
+    known = {(entry.section, entry.key): entry for entry in _INI_FIELDS}
     values = {section: {} for section in _INI_SECTIONS}
-    for entry in _INI_FIELDS:
-        if parser.has_option(entry.section, entry.key):
-            values[entry.section][entry.name] = entry.parse(parser.get(entry.section, entry.key))
+    for section in parser.sections():
+        if section not in _INI_SECTIONS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key, text in parser.items(section):
+            entry = known.get((section, key))
+            if entry is None:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+            values[section][entry.name] = entry.parse(text)
     return ExperimentConfig(scenario=Scenario(**values["scenario"]),
                             **values["experiment"], **values["annealing"])
 

@@ -1,9 +1,12 @@
 import configparser
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from pinchsec import ExperimentConfig, cli
 from pinchsec.cli import build_parser, main
+from pinchsec.harness import config_from_ini, effective_config_ini
 
 
 def test_parser_knows_all_subcommands():
@@ -136,3 +139,69 @@ def test_default_out_dir_is_per_command(tmp_path, monkeypatch):
                  "--powers", "10", "--methods", "initial-single-antenna"])
     assert code == 0
     assert (tmp_path / "results" / "power-sweep" / "raw_rows.csv").exists()
+
+
+def test_convergence_refuses_methods(capsys):
+    # convergence always runs the two games and its reference
+    with pytest.raises(SystemExit) as info:
+        main(["convergence", "--trials", "1", "--antennas", "3", "--methods", "annealing"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[experiment]\ntrails = 5\n", encoding="utf-8")
+    code = main(["power-sweep", "--config", str(ini), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+COMMON_FLAGS = {"master_seed": ["--seed", "7"], "n_antennas": ["--antennas", "3"]}
+STUDY_FLAGS = {
+    **COMMON_FLAGS,
+    "trials": ["--trials", "2"], "workers": ["--workers", "2"],
+    "sa_steps": ["--sa-steps", "30"], "sa_initial_temperature": ["--sa-temperature", "0.5"],
+    "timing": ["--timing"],
+}
+SWEEP_FLAGS = {**STUDY_FLAGS, "methods": ["--methods", "annealing,shapley"]}
+
+
+@pytest.mark.parametrize("command, flags, expected", [
+    ("power-sweep", {**SWEEP_FLAGS, "power_dbm_axis": ["--powers", "3,12.5"]},
+     dict(power_dbm_axis=(3.0, 12.5))),
+    ("antenna-sweep", {**SWEEP_FLAGS, "antenna_axis": ["--antenna-counts", "2,4"],
+                       "power_dbm": ["--power", "7.5"]},
+     dict(antenna_axis=(2, 4), power_dbm=7.5)),
+    ("convergence", {**STUDY_FLAGS, "convergence_power_dbm": ["--power", "3"]},
+     dict(convergence_power_dbm=3.0)),
+])
+def test_every_study_flag_reaches_its_field(tmp_path, monkeypatch, command, flags, expected):
+    out = tmp_path / "run"
+    expected = ExperimentConfig(
+        master_seed=7, n_antennas=3, trials=2, workers=2, out_dir=str(out), sa_steps=30,
+        sa_initial_temperature=0.5, timing=True, **expected,
+        **({"methods": ("annealing", "shapley")} if "methods" in flags else {}))
+    # each flag moves its own field off the default, and no other field moves
+    defaults = ExperimentConfig()
+    for name in flags:
+        assert getattr(expected, name) != getattr(defaults, name), name
+    assert {"out_dir", *flags} == {f.name for f in fields(ExperimentConfig)
+                                   if getattr(expected, f.name) != getattr(defaults, f.name)}
+    seen = []
+    write_outputs = cli.write_outputs
+    monkeypatch.setattr(cli, "write_outputs",
+                        lambda result, config: seen.append(config) or write_outputs(result, config))
+    argv = [command, "--out", str(out)] + [piece for flag in flags.values() for piece in flag]
+    assert main(argv) == 0
+    assert seen == [expected]
+    echo = (out / "effective_config.ini").read_text(encoding="utf-8")
+    assert echo == effective_config_ini(expected)
+    assert config_from_ini(out / "effective_config.ini") == replace(expected, out_dir=None,
+                                                                    workers=1)
+
+
+def test_single_drop_flags_reach_their_fields(capsys):
+    assert main(["single-drop", "--antennas", "3", "--seed", "7", "--power", "25"]) == 0
+    assert capsys.readouterr().out.startswith("seed 7, trial 0: N=3, P_t=25 dBm,")

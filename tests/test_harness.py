@@ -53,6 +53,8 @@ def _row_key(row):
     {"convergence_power_dbm": float("-inf")},
     {"sa_initial_temperature": float("nan")},
     {"sa_initial_temperature": float("inf")},
+    {"power_dbm_axis": (10.0, 10.0)},
+    {"antenna_axis": (5, 10, 5)},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -452,6 +454,21 @@ def test_config_from_ini_rejects_unknown_method(tmp_path):
     path.write_text("[experiment]\nmethods = shapley, magic\n", encoding="utf-8")
     with pytest.raises(ValueError):
         config_from_ini(path)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("[experiment]\ntrails = 5\n", ("[experiment]", "trails")),
+    ("[anealing]\nsteps = 10\n", ("[anealing]",)),
+    ("[DEFAULT]\ntrials = 5\n", ("[DEFAULT]",)),
+])
+def test_config_from_ini_rejects_unknown_sections_and_keys(tmp_path, text, names):
+    # a typo must not leave its field at the default
+    path = tmp_path / "typo.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        config_from_ini(path)
+    for name in names:
+        assert name in str(info.value)
 
 
 def test_effective_config_round_trips(tmp_path):

@@ -19,8 +19,8 @@ from pinchsec import (
     uniform_layout,
 )
 from pinchsec.coalitions import ENUMERATION_CAP
-from pinchsec.game import (_coalition_payoffs, _merge_split_scan, closest_antenna,
-                           is_nash_stable, merge_candidate, split_candidate)
+from pinchsec.game import (_coalition_payoffs, _scan, is_nash_stable, merge_candidate,
+                           split_candidate)
 from helpers import loop_payoff, permutation_payoff
 
 SCENARIO = Scenario()
@@ -151,10 +151,10 @@ def test_scan_matches_one_candidate_check_per_step():
     for seed in range(10):
         layout, drop, v = _evaluator(10, 300 + seed, 10.0)
         mask, trace = run_activation(v, layout, drop.bob)
-        start = 1 << closest_antenna(layout, drop.bob)
-        ref_mask, ref_trace = _merge_split_scan(
-            v, 10, start, lambda mask, n: merge_candidate(v, mask, n),
-            lambda mask, n: split_candidate(v, mask, n), 100)
+        ref_mask, ref_trace = _scan(
+            v, layout, drop.bob,
+            lambda mask, n: (split_candidate if mask >> n & 1 else merge_candidate)(v, mask, n),
+            100)
         assert mask == ref_mask
         assert trace.steps == ref_trace.steps
         assert is_nash_stable(v, mask, 10)
