@@ -346,6 +346,12 @@ def _convergence_extras(trial: Trial, rows, traces, sweep_value):
 
 
 def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
+    if kind == "convergence" and config.methods != DEFAULT_METHODS:
+        # the study runs CONVERGENCE_METHODS and its reference, whatever
+        # methods says, so the echo must not name others
+        raise ValueError(f"methods: a convergence study always runs "
+                         f"{', '.join(CONVERGENCE_METHODS)} and its reference; "
+                         f"leave methods at its default, not {', '.join(config.methods)}")
     points = _study_points(kind, config)
     past_exhaustive = config.n_antennas > ENUMERATION_CAP
     anneals = past_exhaustive if kind == "convergence" else "annealing" in config.methods

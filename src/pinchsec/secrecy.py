@@ -16,9 +16,9 @@ from .channel import ChannelVector
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
-# value_blocks spans the low 14 antennas per block: 16384 masks, whose
-# buffers (four planes of sums, two of rates, one of values) stay in cache
-_BLOCK_BITS = 14
+# snr_blocks spans the low 13 antennas per block: 8192 masks, whose
+# planes (256 KiB for the four sums of a block) stay in cache
+_BLOCK_BITS = 13
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -58,8 +58,9 @@ class SecrecyEvaluator:
     v(empty) = 0 so that subset-weighted payoff sums are anchored at zero.
     Every value, whether looked up one mask at a time, as a payoff table or
     block by block, comes from one kernel: coefficient sums added in
-    ascending antenna order, then rho * |h|^2, numpy's log1p and the
-    1/ln 2 scale, bob minus eve.  So all three paths agree bit for bit.
+    ascending antenna order, then its SNR stage (rho * |h|^2, _snr) and
+    its finish stage (numpy's log1p and the 1/ln 2 scale, bob minus eve,
+    secrecy_from_snr).  So all three paths agree bit for bit.
 
     Instances are bound to one drop; do not share them across drops.
     """
@@ -107,34 +108,20 @@ class SecrecyEvaluator:
         re = float(np.log1p((he.real * he.real + he.imag * he.imag) * rho)) * _INV_LN2
         return rb, re
 
-    def _subset_sums(self, rows) -> np.ndarray:
+    def _subset_sums(self, rows, out=None) -> np.ndarray:
         """Coefficient sums of every subset of the given antennas, as four
         planes of 2^len(rows) entries: bob re, bob im, eve re, eve im.
 
         Doubles one contiguous block per antenna, in the order given: bit k
         of an index stands for rows[k], and each sum adds its antennas in
-        that order.
+        that order.  Writes into out when given.
         """
-        sums = np.zeros((4, 1 << len(rows)))
+        sums = np.empty((4, 1 << len(rows))) if out is None else out
+        sums[:, 0] = 0.0
         for k, row in enumerate(rows):
             half = 1 << k
             np.add(sums[:, :half], self._coeffs[:, row, None], out=sums[:, half:2 * half])
         return sums
-
-    @staticmethod
-    def _values(sums: np.ndarray, rho, rates=None, out=None) -> np.ndarray:
-        """The kernel: v from four planes of coefficient sums and each
-        entry's SNR scale rho.
-
-        Squares the sums in place; rates (two planes) and out (one) are
-        optional buffers for the link rates and the values.
-        """
-        np.multiply(sums, sums, out=sums)
-        rates = np.add(sums[0::2], sums[1::2], out=rates)
-        rates *= rho
-        np.log1p(rates, out=rates)
-        rates *= _INV_LN2
-        return np.subtract(rates[0], rates[1], out=out)
 
     def subset_values(self, mask: int) -> np.ndarray:
         """v over every subset of a mask, as one array of 2^|mask| entries.
@@ -147,44 +134,52 @@ class SecrecyEvaluator:
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        return self._values(self._subset_sums(members),
-                            self._rho[coalitions.subset_sizes(len(members))])
+        sums = self._subset_sums(members)
+        return secrecy_from_snr(_snr(sums, self._rho[coalitions.subset_sizes(len(members))], sums))
 
-    def value_blocks(self):
-        """Secrecy rate of every mask, in ascending blocks of 2^14 masks.
+    def snr_blocks(self):
+        """The kernel's SNR stage for every mask, in blocks of 2^13 masks.
 
-        Yields (first mask, values); values is one buffer, reused, so it
-        holds a block only until the next is drawn.  Entry 0 of the first
-        block, the empty mask, is -inf; every other entry equals self(mask)
-        bit for bit.
+        Yields (first mask, snr, spare): snr holds rho * |h|^2 of bob and
+        eve as two planes, and spare is two planes of the same shape that
+        the caller may overwrite.  Both are views of one buffer, reused, so
+        they hold a block only until the next is drawn.  Entry 0 of the
+        block at mask 0 is the empty mask, whose SNRs are 0; every other
+        entry gives self(mask) bit for bit through secrecy_from_snr.
 
-        One table holds the sums of the low antennas; each block adds its
-        set high antennas to them one at a time, in ascending order, so
-        every sum adds its antennas in index order.  Buffers take about
-        2 MiB whatever n is.
+        A block spans the low 13 antennas; its high antennas are the ones
+        above.  Blocks come in prefix order of their high antennas, so each
+        block's sums are its parent's (the same high antennas without the
+        highest) plus that highest antenna: one add per block, and every
+        sum still adds its antennas in ascending order.  The sums wait on a
+        stack, one level per high antenna set, next to one rho row per count
+        of high antennas set; a block whose highest antenna is the last has
+        no children, so its sums go straight to the square buffer.  Buffers
+        take 32 bytes per block entry per stack level, 8 per rho row and 32
+        for the square: 1.25 MiB at n = 16, 2.5 at 20 and 3.75 at 24.
         """
         low_bits = min(self._n, _BLOCK_BITS)
-        low = self._subset_sums(range(low_bits))
-        low_sizes = coalitions.subset_sizes(low_bits)
-        sums = np.empty_like(low)
-        rho = np.empty(low.shape[1])
-        rates = np.empty((2, low.shape[1]))
-        values = np.empty(low.shape[1])
-        for high in range(1 << (self._n - low_bits)):
-            if high:
-                src = low
-                for member in coalitions.members(high):
-                    np.add(src, self._coeffs[:, low_bits + member, None], out=sums)
-                    src = sums
+        high_bits = self._n - low_bits
+        # rho by active count, one row per number of high antennas set; a
+        # uint8 index holds every count a 2^n walk can reach
+        rho = self._rho[np.add.outer(np.arange(high_bits + 1, dtype=np.uint8),
+                                     coalitions.subset_sizes(low_bits))]
+        stack = np.empty((max(high_bits, 1), 4, 1 << low_bits))
+        self._subset_sums(range(low_bits), out=stack[0])
+        square = np.empty_like(stack[0])
+        spare = square[1::2]
+        todo = [(0, -1)]   # (high antennas set, highest of them; -1 if none)
+        while todo:
+            high, top = todo.pop()
+            depth = high.bit_count()
+            if not depth:
+                sums = stack[0]
             else:
-                np.copyto(sums, low)
-            # rho by each mask's active count, the low part's plus high's; the
-            # counts are in range, and "clip" spares take a buffered copy
-            np.take(self._rho[high.bit_count():], low_sizes, out=rho, mode="clip")
-            self._values(sums, rho, rates, values)
-            if not high:
-                values[0] = -np.inf
-            yield high << low_bits, values
+                level = square if top == high_bits - 1 else stack[depth]
+                sums = np.add(stack[depth - 1], self._coeffs[:, low_bits + top, None], out=level)
+            yield high << low_bits, _snr(sums, rho[depth], square), spare
+            # the children add one antenna above top; the lowest is drawn first
+            todo.extend((high | 1 << k, k) for k in range(high_bits - 1, top, -1))
 
     def __call__(self, mask: int) -> float:
         v = self._memo.get(mask)
@@ -193,6 +188,31 @@ class SecrecyEvaluator:
             v = rb - re
             self._memo[mask] = v
         return v
+
+
+def _snr(sums, rho, out) -> np.ndarray:
+    """The kernel's SNR stage: rho * |h|^2 of both links from four planes
+    of coefficient sums.
+
+    Squares the sums into out (four planes; it may be sums itself) and
+    returns its planes 0 and 2, now bob's and eve's SNR; planes 1 and 3 are
+    left free.
+    """
+    np.square(sums, out=out)
+    snr = np.add(out[0::2], out[1::2], out=out[0::2])
+    snr *= rho
+    return snr
+
+
+def secrecy_from_snr(snr, out=None) -> np.ndarray:
+    """The kernel's finish stage: v = log2(1 + bob SNR) - log2(1 + eve SNR)
+    from two SNR planes, through numpy's log1p and the 1/ln 2 scale.
+
+    Overwrites snr with the two link rates.
+    """
+    np.log1p(snr, out=snr)
+    snr *= _INV_LN2
+    return np.subtract(snr[0], snr[1], out=out)
 
 
 def _coeffs(channels):

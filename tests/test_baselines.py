@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pinchsec import (
 )
 from pinchsec.baselines import _WALK_CHUNK, ula_secrecy_rate
 from pinchsec.geometry import Drop
+from pinchsec.secrecy import _BLOCK_BITS
 from helpers import brute_force_optimum, loop_annealing, one_shot_table
 
 
@@ -96,14 +98,8 @@ def test_both_exhaustive_routes_agree():
     assert re == pytest.approx(re_direct, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 13, 14, 15, 18])
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), power_dbm=st.floats(-10.0, 40.0))
-def test_streamed_search_matches_the_one_shot_table(n, seed, power_dbm):
-    # n runs below, at and above the 14 antennas one block spans
-    rng = np.random.default_rng(seed)
-    hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-4
-    budget = LinkBudget(power_dbm, -90.0)
+def _assert_search_matches_table(hb, he, budget, rng):
+    n = len(hb)
     table = one_shot_table(hb, he, budget)
     np.testing.assert_array_equal(enumerate_secrecy_values(hb, he, budget), table)
     mask, value, rb, re = brute_force_secrecy_optimum(hb, he, budget)
@@ -115,6 +111,49 @@ def test_streamed_search_matches_the_one_shot_table(n, seed, power_dbm):
     v = SecrecyEvaluator(hb, he, budget)
     for m in rng.integers(1, 1 << n, size=8).tolist() + [(1 << n) - 1]:
         assert v(m) == table[m]
+
+
+# n runs below, at and above the antennas one block spans
+@pytest.mark.parametrize("n", sorted({1, 2, 7, 13, 14, 15, 18,
+                                      _BLOCK_BITS - 1, _BLOCK_BITS, _BLOCK_BITS + 1}))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), power_dbm=st.floats(-10.0, 40.0))
+def test_streamed_search_matches_the_one_shot_table(n, seed, power_dbm):
+    rng = np.random.default_rng(seed)
+    hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-4
+    _assert_search_matches_table(hb, he, LinkBudget(power_dbm, -90.0), rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_streamed_search_finishes_every_mask_when_all_ratios_tie(seed):
+    # rho * |h|^2 stays below 2^-53 for every mask, so 1 + SNR rounds to 1
+    # and every ratio the search ranks by is 1, while the log1p values
+    # still differ: every mask is finished and the values decide
+    n = 16
+    rng = np.random.default_rng(seed)
+    hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-16
+    budget = LinkBudget(20.0, -90.0)
+    snr_bound = budget.transmit_power_w / budget.noise_power_w
+    assert snr_bound * max(np.abs(hb).sum(), np.abs(he).sum()) ** 2 < 2.0 ** -53
+    table = one_shot_table(hb, he, budget)
+    assert np.unique(table[1:]).size > 1 << (n - 1)
+    _assert_search_matches_table(hb, he, budget, rng)
+
+
+def test_streamed_search_finishes_a_mask_whose_ratio_rounds_below_the_best():
+    # with rho = 1e11: {0} has SNRs 1.2e-16 and 1e-16, so its ratio rounds
+    # to 1 + 2^-52; {1} has SNRs 1e-16 and 0, so its ratio rounds to 1, yet
+    # its value is the larger.  Only the margin below the best ratio gets
+    # {1} finished.
+    hb = np.array([math.sqrt(1.2e-27), 1j * math.sqrt(1e-27)])
+    he = np.array([math.sqrt(1e-27), 0.0])
+    budget = LinkBudget(20.0, -90.0)
+    table = one_shot_table(hb, he, budget)
+    assert int(np.argmax(table)) == 0b10
+    assert (1.0 + 1.2e-16) / (1.0 + 1e-16) > 1.0
+    mask, value, *_ = brute_force_secrecy_optimum(hb, he, budget)
+    assert mask == 0b10
+    assert value == table[0b10]
 
 
 @pytest.mark.parametrize("twin", [3, 15])
@@ -137,6 +176,25 @@ def test_streamed_search_tie_keeps_smallest_mask(twin):
     assert mask == 0b100010
 
 
+def test_tie_across_blocks_out_of_mask_order_keeps_smallest_mask():
+    # as above with twin b, the first antenna past a block, and canceller
+    # b + 1: the block of {b, b + 1} comes before the block of {1, b + 1}
+    # in prefix order, so only the explicit tie rule keeps the smaller mask
+    b = _BLOCK_BITS
+    n = b + 3
+    hb = np.full(n, 1e-7 + 0j)
+    he = np.full(n, 3e-4 + 0j)
+    hb[[1, b, b + 1]] = 1e-4
+    he[[1, b]] = 1e-4
+    he[b + 1] = -1e-4
+    budget = LinkBudget(20.0, -90.0)
+    table = one_shot_table(hb, he, budget)
+    tied = np.flatnonzero(table == table.max())
+    assert tied.tolist() == [(1 << 1) | (1 << (b + 1)), (1 << b) | (1 << (b + 1))]
+    mask, *_ = brute_force_secrecy_optimum(hb, he, budget)
+    assert mask == tied[0]
+
+
 def test_identical_channels_tie_to_single_antenna():
     # bob and eve share every coefficient, so all coalitions score zero
     # and the tie rule must pick mask 1
@@ -146,6 +204,34 @@ def test_identical_channels_tie_to_single_antenna():
     assert mask == 1
     assert value == 0.0
     assert rb == re
+
+
+def test_identical_channels_at_16_antennas_tie_to_single_antenna():
+    # every ratio and every value ties across all eight blocks, so every
+    # mask is finished and the tie rule alone picks mask 1
+    budget = LinkBudget(20.0, -90.0)
+    h = np.random.default_rng(4).normal(size=16) * 1e-4 + 0j
+    mask, value, rb, re = brute_force_secrecy_optimum(h, h, budget)
+    assert mask == 1
+    assert value == 0.0
+
+
+@pytest.mark.parametrize("n, bound_mib", [(20, 2.75), (24, 4.0)])
+def test_exhaustive_search_memory_is_bounded(n, bound_mib):
+    # the search holds a prefix stack of 4-plane sums (256 KiB a level, 7
+    # levels at n = 20 and 11 at 24), one rho row (64 KiB) per count of
+    # high antennas set and the square buffer (256 KiB): 2.5 and 3.75 MiB.
+    # The bounds leave 256 KiB for the finished candidates and the rest.
+    rng = np.random.default_rng(n)
+    hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-4
+    budget = LinkBudget(20.0, -90.0)
+    tracemalloc.start()
+    try:
+        brute_force_secrecy_optimum(hb, he, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20
 
 
 def test_schedule_default_cooling_reaches_three_decades():

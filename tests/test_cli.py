@@ -149,6 +149,19 @@ def test_convergence_refuses_methods(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_convergence_refuses_methods_from_a_config_file(tmp_path, capsys):
+    # an INI file can still set methods; the echo would then name methods
+    # the study never ran
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nn_antennas = 4\ntrials = 1\nmethods = annealing\n",
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["convergence", "--config", str(ini), "--out", str(out)])
+    assert code == 2
+    assert "methods" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     ini = tmp_path / "typo.ini"
     ini.write_text("[experiment]\ntrails = 5\n", encoding="utf-8")

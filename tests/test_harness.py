@@ -354,6 +354,16 @@ def test_annealing_past_64_antennas_is_refused_before_any_trial(monkeypatch, stu
         study(ExperimentConfig(trials=1, sa_steps=10, **kwargs))
 
 
+@pytest.mark.parametrize("methods", [("annealing",), ("shapley", "coalition-value")])
+def test_convergence_refuses_other_methods_before_any_trial(monkeypatch, methods):
+    def no_trial(task):
+        raise AssertionError("no trial should run")
+
+    monkeypatch.setattr(harness, "_evaluate_trial", no_trial)
+    with pytest.raises(ValueError, match="^methods: "):
+        run_convergence_study(ExperimentConfig(trials=1, n_antennas=4, methods=methods))
+
+
 @pytest.mark.parametrize("study, kwargs", [
     (run_power_sweep, {"n_antennas": 25}),
     (run_antenna_sweep, {"antenna_axis": (5, 25)}),
