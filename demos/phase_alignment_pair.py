@@ -16,7 +16,7 @@ Y = 0.5
 
 
 def combined(x):
-    h0, h1 = channel_vector(scenario, layout, (x, Y, 0.0)).coefficients
+    h0, h1 = channel_vector(scenario, layout, (x, Y, 0.0))
     return h0, h1, abs(h0 + h1)
 
 

@@ -41,8 +41,8 @@ def main():
     print()
     print("   n      |h_user|    |h_eve|   v({n})")
     for n in range(N_ANTENNAS):
-        print(f"  {n:2d}    {abs(bob.coefficients[n]):.3e}  "
-              f"{abs(eve.coefficients[n]):.3e}  {v(1 << n):+8.4f}")
+        print(f"  {n:2d}    {abs(bob[n]):.3e}  "
+              f"{abs(eve[n]):.3e}  {v(1 << n):+8.4f}")
 
     mask, trace = run_activation(v, layout, drop.bob)
     print()

@@ -44,8 +44,9 @@ def _exhaustive_evaluator(bob_coeffs, eve_coeffs, budget: LinkBudget) -> Secrecy
 def enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget: LinkBudget) -> np.ndarray:
     """Secrecy rate of every coalition, indexed by mask.
 
-    Channels are ChannelVectors or plain coefficient arrays of equal
-    length.  Entry 0 (empty mask) is -inf so argmax never picks it.
+    Channels are complex coefficient arrays of equal length, as
+    channel_vector returns them.  Entry 0 (empty mask) is -inf so argmax
+    never picks it.
     """
     evaluator = _exhaustive_evaluator(bob_coeffs, eve_coeffs, budget)
     table = np.empty(1 << evaluator.n_antennas)

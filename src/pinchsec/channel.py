@@ -12,7 +12,6 @@ in-waveguide wavelength.  Waveguide propagation loss is not modeled.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,21 +38,8 @@ def wavelengths(scenario: Scenario) -> Wavelengths:
     )
 
 
-@dataclass(frozen=True)
-class ChannelVector:
-    """Per-antenna coefficients for one receiver position."""
-
-    coefficients: np.ndarray
-    wavelength: float
-    guided_wavelength: float
-
-    @property
-    def n_antennas(self) -> int:
-        return len(self.coefficients)
-
-
-def channel_vector(scenario: Scenario, layout: AntennaLayout, receiver) -> ChannelVector:
-    """Coefficients for every antenna in the layout at one receiver.
+def channel_vector(scenario: Scenario, layout: AntennaLayout, receiver) -> np.ndarray:
+    """Complex coefficients h_n at one receiver, as an array in layout order.
 
     Every antenna must lie on the waveguide, in [0, waveguide_length].
     """
@@ -66,5 +52,4 @@ def channel_vector(scenario: Scenario, layout: AntennaLayout, receiver) -> Chann
     free = np.sqrt((r[0] - pos) ** 2 + r[1] ** 2 + (r[2] - scenario.waveguide_height) ** 2)
     feed = np.abs(scenario.feed_point_x - pos)
     phase = np.fmod(TWO_PI * (free / lam + feed / lam_g), TWO_PI)
-    coeffs = (eta / free) * np.exp(-1j * phase)
-    return ChannelVector(coefficients=coeffs, wavelength=lam, guided_wavelength=lam_g)
+    return (eta / free) * np.exp(-1j * phase)

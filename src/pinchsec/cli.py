@@ -69,8 +69,8 @@ def _cmd_single_drop(args) -> int:
     print()
     print("   n     x_n      |h_bob|   arg_bob     |h_eve|   arg_eve")
     for i, x in enumerate(trial.layout.positions_x):
-        hb = trial.bob_channels.coefficients[i]
-        he = trial.eve_channels.coefficients[i]
+        hb = trial.bob_channels[i]
+        he = trial.eve_channels[i]
         print(f"  {i:2d}  {x:7.4f}  {abs(hb):.4e}  {np.angle(hb):+8.4f}"
               f"  {abs(he):.4e}  {np.angle(he):+8.4f}")
     print()
@@ -90,7 +90,7 @@ def _cmd_single_drop(args) -> int:
     print(f"  final coalition {sorted(coalitions.members(game.mask))}: "
           f"secrecy {game.secrecy_rate:.6f}  (bob {game.bob_rate:.6f}, eve {game.eve_rate:.6f})")
     print("  payoffs at the final coalition:")
-    for report in payoff_reports(trial.evaluator, game.mask, n, cap=config.shapley_cap):
+    for report in payoff_reports(trial.evaluator, game.mask, n):
         where = "in " if report.in_coalition else "out"
         print(f"    antenna {report.antenna:2d} [{where}] {report.kind:8s} {report.payoff:+.6f}")
 

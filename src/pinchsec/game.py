@@ -112,11 +112,11 @@ def _member_payoffs(table: np.ndarray) -> np.ndarray:
     return payoffs
 
 
-def _coalition_payoffs(v: ValueFunction, coalition: int, cap: int) -> np.ndarray:
-    """Payoffs of every member of a coalition, lowest antenna first."""
+def _coalition_payoffs(v: ValueFunction, coalition: int) -> np.ndarray:
+    """Payoffs of every member of a coalition of at most ENUMERATION_CAP, lowest first."""
     n = coalition.bit_count()
-    if n > cap:
-        raise CapacityError(f"coalition size {n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"coalition size {n} exceeds enumeration cap {ENUMERATION_CAP}")
     return _member_payoffs(_subset_table(v, coalition))
 
 
@@ -125,8 +125,7 @@ def _local_index(coalition: int, antenna: int) -> int:
     return (coalition & ((1 << antenna) - 1)).bit_count()
 
 
-def shapley_value(v: ValueFunction, coalition: int, member: int,
-                  cap: int = ENUMERATION_CAP) -> float:
+def shapley_value(v: ValueFunction, coalition: int, member: int) -> float:
     """Exact payoff of a coalition member under value function v.
 
     Builds the coalition's whole subset table; scoring several members of
@@ -134,7 +133,7 @@ def shapley_value(v: ValueFunction, coalition: int, member: int,
     """
     if not coalition & (1 << member):
         raise ValueError(f"antenna {member} is not in the coalition")
-    return float(_coalition_payoffs(v, coalition, cap)[_local_index(coalition, member)])
+    return float(_coalition_payoffs(v, coalition)[_local_index(coalition, member)])
 
 
 def outside_payoff(v: ValueFunction, coalition: int, antenna: int) -> float:
@@ -154,7 +153,7 @@ def outside_payoff(v: ValueFunction, coalition: int, antenna: int) -> float:
     return v(coalition) - v(coalition | bit)
 
 
-def _payoff_rule(v: ValueFunction, cap: int) -> Callable[[int, int], bool]:
+def _payoff_rule(v: ValueFunction) -> Callable[[int, int], bool]:
     """flips(mask, n): the payoff game's move rule for antenna n.
 
     A member flips (leaves) when its leave score strictly beats its payoff,
@@ -167,7 +166,7 @@ def _payoff_rule(v: ValueFunction, cap: int) -> Callable[[int, int], bool]:
     def payoff(coalition, member):
         payoffs = scored.get(coalition)
         if payoffs is None:
-            payoffs = scored[coalition] = _coalition_payoffs(v, coalition, cap)
+            payoffs = scored[coalition] = _coalition_payoffs(v, coalition)
         return float(payoffs[_local_index(coalition, member)])
 
     def flips(mask, n):
@@ -178,23 +177,21 @@ def _payoff_rule(v: ValueFunction, cap: int) -> Callable[[int, int], bool]:
     return flips
 
 
-def merge_candidate(v: ValueFunction, coalition: int, antenna: int,
-                    cap: int = ENUMERATION_CAP) -> bool:
+def merge_candidate(v: ValueFunction, coalition: int, antenna: int) -> bool:
     """True if an outsider strictly gains by joining; ties mean no move.
 
     The inside payoff is evaluated in the coalition it would join.
     """
     if coalition & (1 << antenna):
         raise ValueError(f"antenna {antenna} already in the coalition")
-    return _payoff_rule(v, cap)(coalition, antenna)
+    return _payoff_rule(v)(coalition, antenna)
 
 
-def split_candidate(v: ValueFunction, coalition: int, antenna: int,
-                    cap: int = ENUMERATION_CAP) -> bool:
+def split_candidate(v: ValueFunction, coalition: int, antenna: int) -> bool:
     """True if a member strictly gains by leaving; singletons never split."""
     if not coalition & (1 << antenna):
         raise ValueError(f"antenna {antenna} is not in the coalition")
-    return _payoff_rule(v, cap)(coalition, antenna)
+    return _payoff_rule(v)(coalition, antenna)
 
 
 @dataclass(frozen=True)
@@ -238,12 +235,11 @@ class PayoffReport:
     kind: str  # "shapley" for members, "marginal" for outsiders
 
 
-def payoff_reports(v: ValueFunction, coalition: int, n_antennas: int,
-                   cap: int = ENUMERATION_CAP) -> list[PayoffReport]:
+def payoff_reports(v: ValueFunction, coalition: int, n_antennas: int) -> list[PayoffReport]:
     """Score every antenna against the given coalition."""
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
-    payoffs = _coalition_payoffs(v, coalition, cap)
+    payoffs = _coalition_payoffs(v, coalition)
     reports = []
     for n in range(n_antennas):
         if coalition & (1 << n):
@@ -293,8 +289,7 @@ def _scan(v: ValueFunction, layout: AntennaLayout, bob_position,
 
 
 def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
-                   max_cycles: int = DEFAULT_MAX_CYCLES,
-                   cap: int = ENUMERATION_CAP) -> tuple[int, GameTrace]:
+                   max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[int, GameTrace]:
     """Payoff-driven activation starting from the antenna closest to the user.
 
     Returns the final coalition mask and the full trace.  A converged trace
@@ -302,11 +297,10 @@ def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
     trace.converged = False rather than an error.  Each cycle scans the
     antennas in ascending index order.
     """
-    return _scan(v, layout, bob_position, _payoff_rule(v, cap), max_cycles)
+    return _scan(v, layout, bob_position, _payoff_rule(v), max_cycles)
 
 
-def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int,
-                   cap: int = ENUMERATION_CAP) -> bool:
+def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int) -> bool:
     """True if no single antenna gains by unilaterally joining or leaving.
 
     Outsiders must not prefer joining; members must not prefer leaving.
@@ -316,5 +310,5 @@ def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int,
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
     coalitions.validate(coalition, n_antennas)
-    flips = _payoff_rule(v, cap)
+    flips = _payoff_rule(v)
     return not any(flips(coalition, n) for n in range(n_antennas))

@@ -35,7 +35,7 @@ from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule,
                         brute_force_secrecy_optimum,
                         coalition_value_activation, simulated_annealing,
                         ula_secrecy_rate)
-from .channel import ChannelVector, channel_vector
+from .channel import channel_vector
 from .coalitions import ENUMERATION_CAP
 from .game import (DEFAULT_MAX_CYCLES, CapacityError, GameTrace, closest_antenna,
                    run_activation)
@@ -62,7 +62,6 @@ class ExperimentConfig:
     trials: int = 500
     master_seed: int = 1
     max_cycles: int = DEFAULT_MAX_CYCLES
-    shapley_cap: int = ENUMERATION_CAP
     timing: bool = False
     methods: tuple[str, ...] = DEFAULT_METHODS
     out_dir: str = None
@@ -101,9 +100,6 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
-        if not 1 <= self.shapley_cap <= ENUMERATION_CAP:
-            raise ValueError(f"shapley_cap must be in 1..{ENUMERATION_CAP}, "
-                             f"got {self.shapley_cap}")
         if self.sa_steps < 0:
             raise ValueError("sa_steps must be nonnegative")
         if self.sa_initial_temperature <= 0:
@@ -162,8 +158,8 @@ class Trial(NamedTuple):
     seed: int                   # fingerprint of the drop stream
     drop: Drop
     layout: AntennaLayout
-    bob_channels: ChannelVector
-    eve_channels: ChannelVector
+    bob_channels: np.ndarray    # complex coefficient per antenna
+    eve_channels: np.ndarray
     budget: LinkBudget
     evaluator: SecrecyEvaluator
 
@@ -210,8 +206,7 @@ def _initial_single_antenna(trial: Trial) -> Outcome:
 
 def _shapley(trial: Trial) -> Outcome:
     mask, trace = run_activation(trial.evaluator, trial.layout, trial.drop.bob,
-                                 max_cycles=trial.config.max_cycles,
-                                 cap=trial.config.shapley_cap)
+                                 max_cycles=trial.config.max_cycles)
     return _scored(trial, mask, len(trace.steps), trace)
 
 
@@ -246,14 +241,15 @@ class Method(NamedTuple):
     stream_id: int              # fixed, so a new or renamed method never
                                 # shifts the random draws of an existing one
     run: Callable[[Trial], Outcome]
+    max_antennas: int = None    # the most antennas it supports; None for no limit
 
 
 METHODS = {
     "initial-single-antenna": Method(1, _initial_single_antenna),
     "shapley": Method(2, _shapley),
     "coalition-value": Method(3, _coalition_value),
-    "brute-force": Method(4, _brute_force),
-    "annealing": Method(5, _annealing),
+    "brute-force": Method(4, _brute_force, ENUMERATION_CAP),
+    "annealing": Method(5, _annealing, ANNEALING_MAX_ANTENNAS),
     "fixed-ula": Method(6, _fixed_ula),
 }
 
@@ -270,9 +266,16 @@ def _study_points(kind: str, config: ExperimentConfig) -> list[tuple]:
     raise ValueError(f"unknown study kind {kind!r}")
 
 
-def _reference_method(config: ExperimentConfig) -> str:
-    """The convergence study's optimum: exhaustive up to the cap, annealing past it."""
-    return "brute-force" if config.n_antennas <= ENUMERATION_CAP else "annealing"
+def _study_methods(kind: str, config: ExperimentConfig) -> tuple[str, ...]:
+    """The methods each trial runs, in order.
+
+    A convergence study runs its optimum reference last: exhaustive
+    within its limit, annealing past it.
+    """
+    if kind != "convergence":
+        return config.methods
+    exact = config.n_antennas <= METHODS["brute-force"].max_antennas
+    return CONVERGENCE_METHODS + ("brute-force" if exact else "annealing",)
 
 
 def _result_row(method: str, sweep_value: float, trial: Trial, outcome: Outcome,
@@ -287,9 +290,9 @@ def _result_row(method: str, sweep_value: float, trial: Trial, outcome: Outcome,
 
 
 def _evaluate_trial(args) -> tuple[list, list]:
-    """Run every configured method on one drop.  Top level so it pickles.
+    """Run the study's methods on one drop.  Top level so it pickles.
 
-    A coalition that outgrows shapley_cap aborts the study with a
+    A coalition past ENUMERATION_CAP (24) members aborts the study with a
     CapacityError naming the method, sweep point, trial and drop seed.
     """
     kind, config, sweep_idx, trial_idx = args
@@ -297,7 +300,7 @@ def _evaluate_trial(args) -> tuple[list, list]:
     trial = build_trial(config, sweep_idx, trial_idx, n, power)
     rows = []
     traces = {}
-    for method in CONVERGENCE_METHODS if kind == "convergence" else config.methods:
+    for method in _study_methods(kind, config):
         start = time.perf_counter()
         try:
             outcome = METHODS[method].run(trial)
@@ -310,19 +313,13 @@ def _evaluate_trial(args) -> tuple[list, list]:
                                 time.perf_counter() - start))
     if kind != "convergence":
         return rows, []
-    return _convergence_extras(trial, rows, traces, sweep_value)
+    return _convergence_extras(rows, traces)
 
 
-def _convergence_extras(trial: Trial, rows, traces, sweep_value):
-    """Attach the optimum reference and per-iteration trace rows."""
-    reference = _reference_method(trial.config)
-    start = time.perf_counter()
-    # scored by link_rates, as the game methods are, so the ratio never
-    # turns on arithmetic differences between code paths
-    optimum = METHODS[reference].run(trial)
-    rows.append(_result_row(reference, sweep_value, trial, optimum,
-                            time.perf_counter() - start))
-    ref_value = optimum.secrecy_rate
+def _convergence_extras(rows, traces):
+    """Score a trial's rows against its last, the optimum reference, and flatten its traces."""
+    reference = rows[-1]
+    ref_value = reference.secrecy_rate
 
     def ratio(value):
         if ref_value <= 0.0:
@@ -331,16 +328,16 @@ def _convergence_extras(trial: Trial, rows, traces, sweep_value):
 
     out = []
     for row in rows:
-        if reference == "brute-force" and row.secrecy_rate > ref_value + 1e-9 * max(1.0, abs(ref_value)):
+        if reference.method == "brute-force" and row.secrecy_rate > ref_value + 1e-9 * max(1.0, abs(ref_value)):
             raise RuntimeError(
                 f"method {row.method} beat the exhaustive optimum on trial {row.trial}: "
                 f"{row.secrecy_rate} > {ref_value}")
         out.append(ConvergenceRow(
             **{f.name: getattr(row, f.name) for f in fields(ResultRow)},
             optimum_value=ref_value, optimum_ratio=ratio(row.secrecy_rate),
-            reference_method=reference))
+            reference_method=reference.method))
 
-    trace_rows = [{"method": method, "trial": trial.trial_idx, **row}
+    trace_rows = [{"method": method, "trial": reference.trial, **row}
                   for method, trace in traces.items() for row in trace.to_rows()]
     return out, trace_rows
 
@@ -353,36 +350,30 @@ def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
                          f"{', '.join(CONVERGENCE_METHODS)} and its reference; "
                          f"leave methods at its default, not {', '.join(config.methods)}")
     points = _study_points(kind, config)
-    past_exhaustive = config.n_antennas > ENUMERATION_CAP
-    anneals = past_exhaustive if kind == "convergence" else "annealing" in config.methods
+    methods = _study_methods(kind, config)
     most = max(n for _, n, _ in points)
-    if anneals and most > ANNEALING_MAX_ANTENNAS:
-        raise ValueError(f"annealing supports at most {ANNEALING_MAX_ANTENNAS} antennas; "
-                         f"this study needs it at {most}")
-    if kind != "convergence" and "brute-force" in config.methods and most > ENUMERATION_CAP:
-        raise CapacityError(f"brute-force enumerates at most {ENUMERATION_CAP} antennas; "
-                            f"this study needs it at {most}")
-    if kind == "convergence" and past_exhaustive:
-        warnings.warn(
-            f"{config.n_antennas} antennas exceeds the exhaustive limit "
-            f"({ENUMERATION_CAP}); using simulated annealing as the reference",
-            RuntimeWarning, stacklevel=3)
+    for method in methods:
+        limit = METHODS[method].max_antennas
+        if limit is not None and most > limit:
+            raise CapacityError(f"{method} supports at most {limit} antennas; "
+                                f"this study needs it at {most}")
 
     tasks = [(kind, config, j, t) for j in range(len(points)) for t in range(config.trials)]
-    if config.workers == 1:
+    # a pool forks all its workers at once, so never more than there are tasks
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         outcomes = [_evaluate_trial(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_trial, tasks, chunksize=chunk))
 
     rows = [row for rows_, _ in outcomes for row in rows_]
     trace_rows = [tr for _, trs in outcomes for tr in trs]
     rows.sort(key=lambda r: (r.method, r.sweep_value, r.trial))
     trace_rows.sort(key=lambda r: (r["method"], r["trial"], r["step"]))
-    reference = _reference_method(config) if kind == "convergence" else None
     return StudyResult(kind=kind, rows=rows, trace_rows=trace_rows,
-                       reference_method=reference)
+                       reference_method=methods[-1] if kind == "convergence" else None)
 
 
 def run_power_sweep(config: ExperimentConfig) -> StudyResult:
@@ -398,10 +389,14 @@ def run_antenna_sweep(config: ExperimentConfig) -> StudyResult:
 def run_convergence_study(config: ExperimentConfig) -> StudyResult:
     """Game trajectories plus the per-trial optimum comparison.
 
-    Methods are restricted to the two activation games; the optimum
-    reference (exhaustive up to 24 antennas, annealing beyond) is added
-    automatically.
+    Each trial runs the two activation games, then the optimum reference
+    (brute-force up to 24 antennas, annealing beyond, with a warning),
+    and scores every row against the reference's.
     """
+    limit = METHODS["brute-force"].max_antennas
+    if config.n_antennas > limit:
+        warnings.warn(f"{config.n_antennas} antennas exceeds the exhaustive limit ({limit}); "
+                      "using simulated annealing as the reference", RuntimeWarning, stacklevel=2)
     return _run_study("convergence", config)
 
 
@@ -590,7 +585,11 @@ def config_from_ini(path) -> ExperimentConfig:
     cannot silently leave its field at the default.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        # a repeated key or section, or a key before any section header
+        raise ValueError(f"{path}: malformed config file: {exc}") from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     if parser.defaults():

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coalitions
-from .channel import ChannelVector
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -66,8 +65,8 @@ class SecrecyEvaluator:
     """
 
     def __init__(self, bob_channels, eve_channels, budget: LinkBudget):
-        hb = np.asarray(_coeffs(bob_channels), dtype=np.complex128)
-        he = np.asarray(_coeffs(eve_channels), dtype=np.complex128)
+        hb = np.asarray(bob_channels, dtype=np.complex128)
+        he = np.asarray(eve_channels, dtype=np.complex128)
         if len(hb) != len(he):
             raise ValueError("bob and eve channel vectors must have equal length")
         self._n = len(hb)
@@ -213,9 +212,3 @@ def secrecy_from_snr(snr, out=None) -> np.ndarray:
     np.log1p(snr, out=snr)
     snr *= _INV_LN2
     return np.subtract(snr[0], snr[1], out=out)
-
-
-def _coeffs(channels):
-    if isinstance(channels, ChannelVector):
-        return channels.coefficients
-    return channels

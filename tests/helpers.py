@@ -55,9 +55,9 @@ def effective_channel(channels, coalition: int) -> complex:
     """Coherent sum of the active antennas' coefficients, one at a time."""
     if coalition == 0:
         raise ValueError("at least one antenna must be active")
-    if coalition < 0 or coalition >= (1 << channels.n_antennas):
+    if coalition < 0 or coalition >= (1 << len(channels)):
         raise ValueError("coalition mask out of range")
-    return sum((complex(channels.coefficients[n]) for n in coalitions.members(coalition)), 0j)
+    return sum((complex(channels[n]) for n in coalitions.members(coalition)), 0j)
 
 
 def rate(channels, coalition: int, budget) -> float:

@@ -69,13 +69,6 @@ def test_enumeration_matches_per_mask_evaluation():
         assert values[mask] == pytest.approx(v(mask), rel=1e-12, abs=1e-12)
 
 
-def test_enumeration_accepts_plain_arrays():
-    _, _, budget, _, bob, eve, _ = _drop_evaluator(seed=4, n=6)
-    via_vectors = enumerate_secrecy_values(bob, eve, budget)
-    via_arrays = enumerate_secrecy_values(bob.coefficients, eve.coefficients, budget)
-    np.testing.assert_array_equal(via_vectors, via_arrays)
-
-
 def test_enumeration_input_validation():
     budget = LinkBudget.from_scenario(Scenario(), 10.0)
     with pytest.raises(ValueError):

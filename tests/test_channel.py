@@ -93,12 +93,11 @@ def test_channel_vector_matches_scalar_coefficients():
     layout = AntennaLayout((0.0, 2.0, 5.0, 9.0))
     receiver = (4.0, 2.0, 0.0)
     vec = channel_vector(s, layout, receiver)
-    assert vec.coefficients.shape == (4,)
-    assert vec.wavelength == wavelengths(s).free_space
-    assert vec.guided_wavelength == wavelengths(s).guided
+    assert isinstance(vec, np.ndarray)
+    assert vec.dtype == np.complex128 and vec.shape == (4,)
     for n in range(4):
         h = channel_coefficient(s, layout, receiver, n)
-        assert vec.coefficients[n] == pytest.approx(h, rel=1e-14)
+        assert vec[n] == pytest.approx(h, rel=1e-14)
 
 
 def test_channel_vector_rejects_antennas_off_the_waveguide():
@@ -110,17 +109,16 @@ def test_channel_vector_rejects_antennas_off_the_waveguide():
         channel_vector(Scenario(waveguide_length=5.0), uniform_layout(s, 3), (2.0, 1.0, 0.0))
     # both ends of the waveguide are legal positions
     vec = channel_vector(s, AntennaLayout((0.0, s.waveguide_length)), (5.0, 1.0, 0.0))
-    assert np.all(np.isfinite(vec.coefficients))
+    assert np.all(np.isfinite(vec))
 
 
 def test_effective_channel_sums_selected_antennas():
     s = Scenario()
     layout = AntennaLayout((0.0, 3.0, 8.0))
-    vec = channel_vector(s, layout, (5.0, 1.0, 0.0))
-    h = vec.coefficients
-    assert effective_channel(vec, 0b001) == h[0]
-    assert effective_channel(vec, 0b101) == pytest.approx(h[0] + h[2], rel=1e-14)
-    assert effective_channel(vec, 0b111) == pytest.approx(h.sum(), rel=1e-14)
+    h = channel_vector(s, layout, (5.0, 1.0, 0.0))
+    assert effective_channel(h, 0b001) == h[0]
+    assert effective_channel(h, 0b101) == pytest.approx(h[0] + h[2], rel=1e-14)
+    assert effective_channel(h, 0b111) == pytest.approx(h.sum(), rel=1e-14)
 
 
 def test_effective_channel_rejects_empty_and_out_of_range():

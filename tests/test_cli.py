@@ -171,6 +171,21 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[experiment]\ntrials = 5\ntrials = 6\n",
+    "[experiment]\ntrials = 5\n[experiment]\nmaster_seed = 2\n",
+    "trials = 5\n",
+], ids=["repeated-key", "repeated-section", "no-section-header"])
+def test_malformed_config_file_fails_cleanly(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text, encoding="utf-8")
+    code = main(["power-sweep", "--config", str(ini), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ini) in err
+    assert not (tmp_path / "run").exists()
+
+
 COMMON_FLAGS = {"master_seed": ["--seed", "7"], "n_antennas": ["--antennas", "3"]}
 STUDY_FLAGS = {
     **COMMON_FLAGS,

@@ -15,6 +15,7 @@ from pinchsec import (
     shapley_value,
     uniform_layout,
 )
+from pinchsec import game
 from pinchsec.game import (closest_antenna, is_nash_stable, merge_candidate, outside_payoff,
                            split_candidate)
 from helpers import permutation_payoff, random_value_table
@@ -65,11 +66,13 @@ def test_payoff_requires_membership():
         shapley_value(lambda m: 0.0, 0b101, 1)
 
 
-def test_payoff_capacity_cap():
+def test_payoff_capacity_cap(monkeypatch):
+    # the cap is read when payoffs are computed, so patching it reaches them
+    monkeypatch.setattr(game, "ENUMERATION_CAP", 4)
     v = lambda m: float(m.bit_count())
-    assert shapley_value(v, 0b1111, 0, cap=4) == pytest.approx(1.0)
-    with pytest.raises(CapacityError):
-        shapley_value(v, 0b11111, 0, cap=4)
+    assert shapley_value(v, 0b1111, 0) == pytest.approx(1.0)
+    with pytest.raises(CapacityError, match="coalition size 5 exceeds enumeration cap 4"):
+        shapley_value(v, 0b11111, 0)
     assert issubclass(CapacityError, ValueError)
 
 

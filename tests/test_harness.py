@@ -19,7 +19,7 @@ from pinchsec import (
     run_power_sweep,
     write_outputs,
 )
-from pinchsec import harness
+from pinchsec import game, harness
 from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.harness import (ResultRow, apply_overrides, config_from_ini, drop_seed,
                               effective_config_ini, emit_csv, method_seed)
@@ -44,7 +44,6 @@ def _row_key(row):
     {"master_seed": 1 << 64},
     {"workers": 0},
     {"max_cycles": 0},
-    {"shapley_cap": 0},
     {"sa_steps": -1},
     {"sa_initial_temperature": 0.0},
     {"power_dbm_axis": (float("nan"),)},
@@ -59,15 +58,6 @@ def _row_key(row):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
-
-
-def test_config_refuses_shapley_cap_past_the_enumeration_cap():
-    # a 30-member coalition would otherwise try to build a 2^30 payoff table
-    with pytest.raises(ValueError, match="shapley_cap"):
-        ExperimentConfig(n_antennas=40, shapley_cap=100)
-    with pytest.raises(ValueError, match="shapley_cap"):
-        ExperimentConfig(shapley_cap=ENUMERATION_CAP + 1)
-    assert ExperimentConfig(shapley_cap=ENUMERATION_CAP).shapley_cap == ENUMERATION_CAP
 
 
 def test_config_defaults():
@@ -377,10 +367,58 @@ def test_brute_force_past_the_cap_is_refused_before_any_trial(monkeypatch, study
         study(ExperimentConfig(trials=200, methods=("shapley", "brute-force"), **kwargs))
 
 
+@pytest.mark.parametrize("method", [m for m, entry in harness.METHODS.items()
+                                    if entry.max_antennas is not None])
+def test_every_method_limit_is_refused_before_any_trial(monkeypatch, method):
+    def no_trial(*args):
+        raise AssertionError("no trial should be built")
+
+    monkeypatch.setattr(harness, "build_trial", no_trial)
+    limit = harness.METHODS[method].max_antennas
+    config = ExperimentConfig(trials=1, antenna_axis=(3, limit + 1), methods=(method,))
+    with pytest.raises(CapacityError) as info:
+        run_antenna_sweep(config)
+    assert str(info.value) == (f"{method} supports at most {limit} antennas; "
+                               f"this study needs it at {limit + 1}")
+
+
+@pytest.mark.parametrize("workers, trials, pool_size", [
+    (8, 1, None), (8, 3, 3), (2, 5, 2), (1, 5, None),
+])
+def test_pool_never_outnumbers_its_tasks(monkeypatch, workers, trials, pool_size):
+    # a pool forks all of its workers at the first submit, so a study with
+    # fewer tasks than workers must not ask for the rest
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    config = ExperimentConfig(n_antennas=4, trials=trials, workers=workers, master_seed=8)
+    result = run_convergence_study(config)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    serial = run_convergence_study(replace(config, workers=1))
+    assert [_row_key(r) for r in result.rows] == [_row_key(r) for r in serial.rows]
+    assert result.trace_rows == serial.trace_rows
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_coalition_past_shapley_cap_names_its_trial(workers):
-    config = ExperimentConfig(n_antennas=20, shapley_cap=4, methods=("shapley",),
-                              trials=50, workers=workers)
+def test_coalition_past_shapley_cap_names_its_trial(monkeypatch, workers):
+    # pool workers fork from this process, so they see the patched cap too
+    monkeypatch.setattr(game, "ENUMERATION_CAP", 4)
+    config = ExperimentConfig(n_antennas=20, methods=("shapley",), trials=50, workers=workers)
     seed = int(drop_seed(config.master_seed, 0, 0).generate_state(1, np.uint64)[0])
     with pytest.raises(CapacityError) as info:
         run_power_sweep(config)
@@ -388,10 +426,7 @@ def test_coalition_past_shapley_cap_names_its_trial(workers):
                                "coalition size 5 exceeds enumeration cap 4")
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 20), power_dbm=st.sampled_from([0.0, 10.0, 20.0, 30.0]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_no_method_beats_the_exact_optimum(n, power_dbm, seed):
+def _assert_no_method_beats_the_exact_optimum(n, power_dbm, seed):
     # fixed-ula is left out: it is another array, not a coalition of these antennas
     config = ExperimentConfig(n_antennas=n, master_seed=seed, sa_steps=300)
     trial = harness.build_trial(config, 0, 0, n, power_dbm)
@@ -399,6 +434,22 @@ def test_no_method_beats_the_exact_optimum(n, power_dbm, seed):
     for method in ("initial-single-antenna", "shapley", "coalition-value", "annealing"):
         achieved = harness.METHODS[method].run(trial).secrecy_rate
         assert achieved <= optimum + 1e-12 * max(1.0, abs(optimum)), method
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 20), power_dbm=st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_no_method_beats_the_exact_optimum(n, power_dbm, seed):
+    _assert_no_method_beats_the_exact_optimum(n, power_dbm, seed)
+
+
+@pytest.mark.parametrize("n", [21, 22, 24])
+@pytest.mark.parametrize("power_dbm", [0.0, 30.0])
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_no_method_beats_the_exact_optimum_past_20_antennas(n, power_dbm, seed):
+    # past 20 antennas the exhaustive search stacks 8 to 11 prefix blocks,
+    # deeper than the hypothesis property above ever reaches
+    _assert_no_method_beats_the_exact_optimum(n, power_dbm, seed)
 
 
 def test_studies_past_64_antennas_run_without_annealing():
@@ -470,6 +521,8 @@ def test_config_from_ini_rejects_unknown_method(tmp_path):
     ("[experiment]\ntrails = 5\n", ("[experiment]", "trails")),
     ("[anealing]\nsteps = 10\n", ("[anealing]",)),
     ("[DEFAULT]\ntrials = 5\n", ("[DEFAULT]",)),
+    # the payoff cap is a package constant, not a config field
+    ("[experiment]\nshapley_cap = 24\n", ("[experiment]", "shapley_cap")),
 ])
 def test_config_from_ini_rejects_unknown_sections_and_keys(tmp_path, text, names):
     # a typo must not leave its field at the default
@@ -490,7 +543,7 @@ def test_effective_config_round_trips(tmp_path):
         power_dbm_axis=(-5.0, 2.5), antenna_axis=(3, 7), n_antennas=9,
         power_dbm=12.5, convergence_power_dbm=18.0, trials=4, master_seed=99,
         methods=("shapley", "annealing"), out_dir=str(tmp_path), workers=3,
-        max_cycles=17, shapley_cap=12, sa_steps=777,
+        max_cycles=17, sa_steps=777,
         sa_initial_temperature=2.5, timing=True)
     # every field differs from its default, so a field the echo or the
     # reader missed would come back as its default and fail the comparison
@@ -527,7 +580,6 @@ convergence_power_dbm = 20.0
 trials = 500
 master_seed = 1
 max_cycles = 100
-shapley_cap = 24
 timing = false
 methods = initial-single-antenna, shapley, coalition-value, fixed-ula
 
