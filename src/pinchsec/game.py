@@ -9,23 +9,22 @@ Each member's payoff is its subset-weighted average marginal contribution
 computed exactly from one table of v over all 2^|S| subsets of S: every
 member's payoff is a weighted sum of the table's differences across that
 member's bit, so one table answers all members at once.  The table lives
-only while its coalition's payoffs are computed and takes under
-64 B x 2^|S| of temporary memory (48 B measured at |S| = 20), so under
-1 GiB at the |S| = 24 cap.  An antenna outside S is scored by its
-marginal contribution: the value change the coalition would see if it
-joined (or, for a member, if it left).
+only while its coalition is scored and takes under 64 B x 2^|S| of
+temporary memory (48 B measured at |S| = 20), so under 1 GiB at the
+|S| = 24 cap.
 
 Activation starts from the single antenna closest to the legitimate user
 and repeatedly scans all antennas in index order, flipping antenna n in
-or out whenever a move rule flips(mask, n) says so.  The game's rule: an
-outsider joins when the payoff it would earn inside strictly beats its
-stay-out score; a member leaves when its leave score strictly beats its
-payoff (never emptying the coalition).  The loop stops after a full scan
-with no moves, at which point no antenna can improve its payoff by
-unilaterally joining or leaving (Nash stability), or after a cycle cap.
-The rule keeps the payoffs of every coalition it has scored, so each
-coalition's table is built once per scan.  The value-driven baseline runs
-the same scan with its own rule.
+or out whenever a move rule flips(mask, n) says so.  The game's rule
+reads both scores of a move from the table of C = mask + n: n's payoff
+and v(C - n) - v(C).  A member leaves when the latter, its leave score,
+strictly beats its payoff (never emptying the coalition); an outsider
+joins when its payoff strictly beats the latter, the value kept by
+staying out.  The loop stops after a full scan with no moves, at which
+point no antenna can improve its payoff by unilaterally joining or
+leaving (Nash stability), or after a cycle cap.  The rule scores each
+coalition once per run.  The value-driven baseline runs the same scan
+with its own rule.
 """
 
 import math
@@ -112,12 +111,20 @@ def _member_payoffs(table: np.ndarray) -> np.ndarray:
     return payoffs
 
 
-def _coalition_payoffs(v: ValueFunction, coalition: int) -> np.ndarray:
-    """Payoffs of every member of a coalition of at most ENUMERATION_CAP, lowest first."""
-    n = coalition.bit_count()
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"coalition size {n} exceeds enumeration cap {ENUMERATION_CAP}")
-    return _member_payoffs(_subset_table(v, coalition))
+def _coalition_scores(v: ValueFunction, coalition: int) -> tuple[list[float], list[float]]:
+    """Every member's payoff and leave score, lowest member first.
+
+    Both come from one subset table of a coalition of at most
+    ENUMERATION_CAP: leave[i] = v(C - member i) - v(C).
+    """
+    size = coalition.bit_count()
+    if size > ENUMERATION_CAP:
+        raise CapacityError(f"coalition size {size} exceeds enumeration cap {ENUMERATION_CAP}")
+    table = _subset_table(v, coalition)
+    last = table.size - 1
+    whole = table.item(last)
+    leave = [table.item(last ^ (1 << i)) - whole for i in range(size)]
+    return _member_payoffs(table).tolist(), leave
 
 
 def _local_index(coalition: int, antenna: int) -> int:
@@ -133,65 +140,31 @@ def shapley_value(v: ValueFunction, coalition: int, member: int) -> float:
     """
     if not coalition & (1 << member):
         raise ValueError(f"antenna {member} is not in the coalition")
-    return float(_coalition_payoffs(v, coalition)[_local_index(coalition, member)])
-
-
-def outside_payoff(v: ValueFunction, coalition: int, antenna: int) -> float:
-    """Marginal-contribution score of an antenna relative to a coalition.
-
-    For an outsider: the value change the coalition avoids by keeping it
-    out, v(S) - v(S + n).  For a member: the change from leaving,
-    v(S - n) - v(S).  The sole member of a singleton cannot leave.
-    """
-    if coalition == 0:
-        raise ValueError("coalition must be nonempty")
-    bit = 1 << antenna
-    if coalition & bit:
-        if coalition == bit:
-            raise ValueError("sole member cannot leave: coalition must stay nonempty")
-        return v(coalition ^ bit) - v(coalition)
-    return v(coalition) - v(coalition | bit)
+    return _coalition_scores(v, coalition)[0][_local_index(coalition, member)]
 
 
 def _payoff_rule(v: ValueFunction) -> Callable[[int, int], bool]:
     """flips(mask, n): the payoff game's move rule for antenna n.
 
-    A member flips (leaves) when its leave score strictly beats its payoff,
-    never emptying the coalition; an outsider flips (joins) when the payoff
-    it would earn inside strictly beats its stay-out score.  Each
-    coalition's payoffs are computed once and kept for the rule's life.
+    Compares n's payoff with v(C - n) - v(C), both read from the table of
+    C = mask + n (see the module docstring); each C is scored once.
     """
-    scored = {}     # coalition mask -> its members' payoffs
-
-    def payoff(coalition, member):
-        payoffs = scored.get(coalition)
-        if payoffs is None:
-            payoffs = scored[coalition] = _coalition_payoffs(v, coalition)
-        return float(payoffs[_local_index(coalition, member)])
+    scored = {}     # C -> (payoffs, leave scores) of its members, lowest first
 
     def flips(mask, n):
         bit = 1 << n
+        if mask == bit:
+            return False
+        coalition = mask | bit
+        scores = scored.get(coalition)
+        if scores is None:
+            scores = scored[coalition] = _coalition_scores(v, coalition)
+        payoffs, leave = scores
+        i = _local_index(coalition, n)
         if mask & bit:
-            return mask != bit and outside_payoff(v, mask, n) > payoff(mask, n)
-        return payoff(mask | bit, n) > outside_payoff(v, mask, n)
+            return leave[i] > payoffs[i]
+        return payoffs[i] > leave[i]
     return flips
-
-
-def merge_candidate(v: ValueFunction, coalition: int, antenna: int) -> bool:
-    """True if an outsider strictly gains by joining; ties mean no move.
-
-    The inside payoff is evaluated in the coalition it would join.
-    """
-    if coalition & (1 << antenna):
-        raise ValueError(f"antenna {antenna} already in the coalition")
-    return _payoff_rule(v)(coalition, antenna)
-
-
-def split_candidate(v: ValueFunction, coalition: int, antenna: int) -> bool:
-    """True if a member strictly gains by leaving; singletons never split."""
-    if not coalition & (1 << antenna):
-        raise ValueError(f"antenna {antenna} is not in the coalition")
-    return _payoff_rule(v)(coalition, antenna)
 
 
 @dataclass(frozen=True)
@@ -236,17 +209,22 @@ class PayoffReport:
 
 
 def payoff_reports(v: ValueFunction, coalition: int, n_antennas: int) -> list[PayoffReport]:
-    """Score every antenna against the given coalition."""
+    """Score every antenna against the given coalition.
+
+    Members get their payoff; an outsider n gets v(S) - v(S + n), the
+    value the coalition keeps by leaving it out.
+    """
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
-    payoffs = _coalition_payoffs(v, coalition)
+    payoffs = _coalition_scores(v, coalition)[0]
     reports = []
     for n in range(n_antennas):
-        if coalition & (1 << n):
-            payoff = float(payoffs[_local_index(coalition, n)])
-            reports.append(PayoffReport(n, True, payoff, "shapley"))
+        bit = 1 << n
+        if coalition & bit:
+            reports.append(PayoffReport(n, True, payoffs[_local_index(coalition, n)], "shapley"))
         else:
-            reports.append(PayoffReport(n, False, outside_payoff(v, coalition, n), "marginal"))
+            # scalar: an outsider's own table could pass the cap
+            reports.append(PayoffReport(n, False, v(coalition) - v(coalition | bit), "marginal"))
     return reports
 
 

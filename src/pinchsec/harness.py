@@ -74,11 +74,12 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.power_dbm_axis:
             raise ValueError("power axis must be nonempty")
-        if not all(math.isfinite(p) for p in self.power_dbm_axis):
-            raise ValueError(f"powers must be finite, got {self.power_dbm_axis}")
-        for name in ("power_dbm", "convergence_power_dbm", "sa_initial_temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # every power a study can run must make a usable link budget
+        for power in (*self.power_dbm_axis, self.power_dbm, self.convergence_power_dbm):
+            LinkBudget(power, self.scenario.noise_power_dbm)
+        if not math.isfinite(self.sa_initial_temperature):
+            raise ValueError(f"sa_initial_temperature must be finite, "
+                             f"got {self.sa_initial_temperature}")
         if not self.antenna_axis:
             raise ValueError("antenna axis must be nonempty")
         if any(n < 1 for n in self.antenna_axis):
@@ -603,7 +604,11 @@ def config_from_ini(path) -> ExperimentConfig:
             entry = known.get((section, key))
             if entry is None:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-            values[section][entry.name] = entry.parse(text)
+            try:
+                values[section][entry.name] = entry.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad value for {key!r} in section [{section}]: "
+                                 f"{exc}") from exc
     return ExperimentConfig(scenario=Scenario(**values["scenario"]),
                             **values["experiment"], **values["annealing"])
 

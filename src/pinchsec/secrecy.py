@@ -36,6 +36,15 @@ class LinkBudget:
             raise ValueError(f"transmit power must be finite, got {self.transmit_power_dbm}")
         if not math.isfinite(self.noise_power_dbm):
             raise ValueError(f"noise power must be finite, got {self.noise_power_dbm}")
+        # the rates need P_t / sigma^2 in watts finite: noise that underflows
+        # to 0 W, or a power past 1e308 W, would give inf or NaN rates
+        try:
+            scale = self.transmit_power_w / self.noise_power_w
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"transmit power {self.transmit_power_dbm} dBm over noise "
+                             f"{self.noise_power_dbm} dBm is out of range")
 
     @classmethod
     def from_scenario(cls, scenario, transmit_power_dbm: float) -> "LinkBudget":

@@ -1,8 +1,8 @@
 """Shared test utilities: scalar oracles, alignment search, row grouping.
 
-The scalar channel, rate and exhaustive-search paths here are references
-for the package's vectorized ones: one antenna, one mask or one
-coalition at a time, in plain Python arithmetic.
+The scalar channel, rate, exhaustive-search and move-rule paths here are
+references for the package's vectorized ones: one antenna, one mask or
+one coalition at a time, in plain Python arithmetic.
 """
 
 import cmath
@@ -13,7 +13,7 @@ import numpy as np
 
 from pinchsec import coalitions, wavelengths
 from pinchsec.coalitions import ENUMERATION_CAP
-from pinchsec.game import CapacityError, _subset_weights
+from pinchsec.game import CapacityError, _subset_weights, shapley_value
 from pinchsec.geometry import distance
 
 TWO_PI = 2.0 * math.pi
@@ -172,6 +172,22 @@ def loop_payoff(v, coalition, member):
             break
         sub = (sub - 1) & rest
     return total
+
+
+def scalar_rule(v):
+    """The payoff game's move rule with scalar stay-out and leave scores (oracle).
+
+    Reference for the table-read rule: the payoff from shapley_value, one
+    table per call, against v(S) - v(S + n) for an outsider or
+    v(S - n) - v(S) for a member, each from two v lookups.  Strict
+    comparisons; the sole member never leaves.
+    """
+    def flips(mask, n):
+        bit = 1 << n
+        if mask & bit:
+            return mask != bit and v(mask ^ bit) - v(mask) > shapley_value(v, mask, n)
+        return shapley_value(v, mask | bit, n) > v(mask) - v(mask | bit)
+    return flips
 
 
 def permutation_payoff(table, members, member):

@@ -186,6 +186,33 @@ def test_malformed_config_file_fails_cleanly(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+def test_unparsable_config_value_names_file_section_and_key(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[experiment]\ntrials = abc\n", encoding="utf-8")
+    code = main(["power-sweep", "--config", str(ini), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "bad.ini" in err and "[experiment]" in err and "trials" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args, ini_text", [
+    (["--powers", "4000"], None),                       # past 1e308 W
+    ([], "[scenario]\nnoise_power_dbm = -4000\n"),     # noise underflows to 0 W
+], ids=["power-overflows", "noise-underflows"])
+def test_out_of_range_power_fails_before_any_output(tmp_path, capsys, args, ini_text):
+    if ini_text is not None:
+        ini = tmp_path / "range.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        args = args + ["--config", str(ini)]
+    out = tmp_path / "run"
+    code = main(["power-sweep", "--trials", "1", "--antennas", "3", "--out", str(out)] + args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 COMMON_FLAGS = {"master_seed": ["--seed", "7"], "n_antennas": ["--antennas", "3"]}
 STUDY_FLAGS = {
     **COMMON_FLAGS,

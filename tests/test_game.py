@@ -16,9 +16,8 @@ from pinchsec import (
     uniform_layout,
 )
 from pinchsec import game
-from pinchsec.game import (closest_antenna, is_nash_stable, merge_candidate, outside_payoff,
-                           split_candidate)
-from helpers import permutation_payoff, random_value_table
+from pinchsec.game import closest_antenna, is_nash_stable
+from helpers import permutation_payoff, random_value_table, scalar_rule
 
 
 def test_payoff_matches_permutation_enumeration():
@@ -74,34 +73,6 @@ def test_payoff_capacity_cap(monkeypatch):
     with pytest.raises(CapacityError, match="coalition size 5 exceeds enumeration cap 4"):
         shapley_value(v, 0b11111, 0)
     assert issubclass(CapacityError, ValueError)
-
-
-def test_outside_payoff_formulas():
-    table = {0b01: 1.0, 0b11: 3.0, 0b10: 0.2}
-    v = table.__getitem__
-    # outsider: value kept by excluding it
-    assert outside_payoff(v, 0b01, 1) == pytest.approx(1.0 - 3.0)
-    # member of a pair: value change if it left
-    assert outside_payoff(v, 0b11, 0) == pytest.approx(0.2 - 3.0)
-    with pytest.raises(ValueError):
-        outside_payoff(v, 0b01, 0)   # sole member cannot leave
-    with pytest.raises(ValueError):
-        outside_payoff(v, 0, 1)
-
-
-def test_ties_produce_no_move():
-    v = lambda mask: 0.0
-    assert merge_candidate(v, 0b01, 1) is False
-    assert split_candidate(v, 0b11, 0) is False
-    assert split_candidate(v, 0b10, 1) is False  # singleton never splits
-
-
-def test_candidate_membership_checks():
-    v = lambda mask: 0.0
-    with pytest.raises(ValueError):
-        merge_candidate(v, 0b01, 0)
-    with pytest.raises(ValueError):
-        split_candidate(v, 0b01, 1)
 
 
 def test_closest_antenna_prefers_smallest_on_ties():
@@ -190,14 +161,8 @@ def test_stability_agrees_with_candidate_checks():
         table[0] = 0.0
         v = table.__getitem__
         coalition = int(rng.integers(1, 16))
-        moves = []
-        for n in range(4):
-            if coalition & (1 << n):
-                if coalition != (1 << n):
-                    moves.append(split_candidate(v, coalition, n))
-            else:
-                moves.append(merge_candidate(v, coalition, n))
-        assert is_nash_stable(v, coalition, 4) == (not any(moves))
+        flips = scalar_rule(v)
+        assert is_nash_stable(v, coalition, 4) == (not any(flips(coalition, n) for n in range(4)))
 
 
 def test_activation_reaches_stability_on_physical_drops():

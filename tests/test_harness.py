@@ -50,6 +50,10 @@ def _row_key(row):
     {"power_dbm_axis": (0.0, float("inf"))},
     {"power_dbm": float("nan")},
     {"convergence_power_dbm": float("-inf")},
+    {"power_dbm_axis": (0.0, 4000.0)},
+    {"power_dbm": 4000.0},
+    {"convergence_power_dbm": 4000.0},
+    {"scenario": Scenario(noise_power_dbm=-4000.0)},
     {"sa_initial_temperature": float("nan")},
     {"sa_initial_temperature": float("inf")},
     {"power_dbm_axis": (10.0, 10.0)},

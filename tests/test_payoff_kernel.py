@@ -1,4 +1,5 @@
-"""Properties of the table-based exact payoffs and of the subset table."""
+"""Properties of the table-based exact payoffs, the move rule that reads
+them, and the subset table."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchsec import (
+    AntennaLayout,
     CapacityError,
     LinkBudget,
     Scenario,
@@ -18,9 +20,8 @@ from pinchsec import (
     shapley_value,
     uniform_layout,
 )
-from pinchsec.game import (_coalition_payoffs, _scan, is_nash_stable, merge_candidate,
-                           split_candidate)
-from helpers import loop_payoff, permutation_payoff
+from pinchsec.game import _coalition_scores, _scan, is_nash_stable
+from helpers import loop_payoff, permutation_payoff, scalar_rule
 
 SCENARIO = Scenario()
 
@@ -54,7 +55,7 @@ def games(draw, max_members=8):
 def test_payoffs_sum_to_the_coalition_value(game):
     members, table = game
     coalition = coalitions.from_members(members)
-    payoffs = _coalition_payoffs(table.__getitem__, coalition)
+    payoffs = np.array(_coalition_scores(table.__getitem__, coalition)[0])
     assert payoffs.shape == (len(members),)
     assert abs(payoffs.sum() - table[coalition]) <= 1e-12
 
@@ -145,18 +146,55 @@ def test_capacity_is_checked_before_any_table():
 
 
 def test_scan_matches_one_candidate_check_per_step():
-    # run_activation keeps payoffs per coalition for the scan; the plain
-    # candidate checks, one table each, must drive the same scan
+    # run_activation keeps scores per coalition for the scan; the scalar
+    # oracle, one table and two v lookups per check, must drive the same scan
     for seed in range(10):
         layout, drop, v = _evaluator(10, 300 + seed, 10.0)
         mask, trace = run_activation(v, layout, drop.bob)
-        ref_mask, ref_trace = _scan(
-            v, layout, drop.bob,
-            lambda mask, n: (split_candidate if mask >> n & 1 else merge_candidate)(v, mask, n),
-            100)
+        ref_mask, ref_trace = _scan(v, layout, drop.bob, scalar_rule(v), 100)
         assert mask == ref_mask
         assert trace.steps == ref_trace.steps
         assert is_nash_stable(v, mask, 10)
+
+
+def _same_scan(v, layout, bob, max_cycles):
+    """The table-read rule and the scalar oracle give one mask and one trace."""
+    mask, trace = run_activation(v, layout, bob, max_cycles)
+    ref_mask, ref_trace = _scan(v, layout, bob, scalar_rule(v), max_cycles)
+    assert mask == ref_mask
+    # repr compares NaN values too, and tells -0.0 from 0.0
+    assert repr(trace.steps) == repr(ref_trace.steps)
+    assert (trace.converged, trace.cycles_used) == (ref_trace.converged, ref_trace.cycles_used)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 30.0))
+def test_table_rule_matches_the_scalar_oracle_on_drops(n, seed, power_dbm):
+    layout, drop, v = _evaluator(n, seed, power_dbm)
+    _same_scan(v, layout, drop.bob, 100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, float("nan")]),
+             min_size=1 << n, max_size=1 << n),
+    st.integers(0, n - 1))))
+def test_table_rule_matches_the_scalar_oracle_on_tied_tables(case):
+    # few distinct values, so payoffs often tie their stay-out or leave scores
+    values, start = case
+    n = len(values).bit_length() - 1
+    layout = AntennaLayout(tuple(float(i) for i in range(n)))
+    _same_scan(values.__getitem__, layout, (float(start), 0.0, 0.0), 20)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(-10.0, 40.0), st.data())
+def test_leave_scores_equal_scalar_lookups_exactly(n, seed, power_dbm, data):
+    _, _, v = _evaluator(n, seed, power_dbm)
+    coalition = data.draw(st.integers(1, (1 << n) - 1))
+    fresh = _evaluator(n, seed, power_dbm)[2]
+    want = [fresh(coalition ^ (1 << m)) - fresh(coalition) for m in coalitions.members(coalition)]
+    assert _coalition_scores(v, coalition)[1] == want
 
 
 @settings(max_examples=40, deadline=None)

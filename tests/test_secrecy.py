@@ -56,6 +56,22 @@ def test_link_budget_rejects_non_finite_powers(powers):
         LinkBudget(*powers)
 
 
+@pytest.mark.parametrize("powers", [
+    (4000.0, -90.0),     # transmit power overflows a float in watts
+    (10.0, 4000.0),      # so does the noise power
+    (10.0, -4000.0),     # noise underflows to 0 W
+    (2000.0, -2000.0),   # both fit, their ratio does not
+], ids=["transmit-overflow", "noise-overflow", "noise-underflow", "ratio-overflow"])
+def test_link_budget_rejects_powers_out_of_range(powers):
+    with pytest.raises(ValueError, match="out of range"):
+        LinkBudget(*powers)
+
+
+def test_link_budget_keeps_a_silent_transmitter():
+    # 0 W of transmit power still makes finite rates, all of them 0
+    assert LinkBudget(-4000.0, -90.0).transmit_power_w == 0.0
+
+
 def test_nan_power_is_refused_before_any_game():
     # a NaN budget used to make every v(S) NaN, so no strict comparison in
     # the scan held and the game reported convergence on its start antenna
