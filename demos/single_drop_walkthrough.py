@@ -62,7 +62,7 @@ def main():
         print(f"  antenna {report.antenna:2d} [{side}] {report.kind:8s} {report.payoff:+.4f}")
 
     cv_mask, _ = coalition_value_activation(v, layout, drop.bob)
-    best_mask, best_value, _, _ = brute_force_secrecy_optimum(bob, eve, budget)
+    best_mask, best_value, _, _ = brute_force_secrecy_optimum(v)
     print()
     print(f"value-driven scan:     {sorted(coalitions.members(cv_mask))} "
           f"secrecy {v(cv_mask):+.4f}")

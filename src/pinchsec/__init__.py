@@ -12,7 +12,8 @@ from .baselines import (AnnealingSchedule, brute_force_secrecy_optimum,
                         coalition_value_activation, enumerate_secrecy_values,
                         simulated_annealing)
 from .channel import channel_vector, wavelengths
-from .game import CapacityError, payoff_reports, run_activation, shapley_value
+from .coalitions import CapacityError
+from .game import payoff_reports, run_activation, shapley_value
 from .geometry import AntennaLayout, Scenario, sample_drop, uniform_layout
 from .harness import (ExperimentConfig, aggregate_rows, run_antenna_sweep,
                       run_convergence_study, run_power_sweep, write_outputs)

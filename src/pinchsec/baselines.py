@@ -1,12 +1,12 @@
 """Reference strategies the activation game is measured against.
 
-* exhaustive search over every nonempty antenna subset (exact optimum),
-  streamed through the evaluator in blocks of 2^13 masks, one add per
-  block, and ranked by a log-free ratio so that only masks near the best
-  get log1p.  Buffers take 1.25 MiB at 16 antennas, 2.5 at 20 and 3.75 at
-  24; a search takes 0.9 ms, 7 ms and 105-116 ms (process CPU time on a
-  2-core host), under half of the ascending block walk it replaced, with
-  the same choices;
+* exhaustive search over every nonempty antenna subset (exact optimum)
+  of the evaluator it is given, which also scores the choice, streamed
+  in blocks of 2^13 masks, one add per block, and ranked by a log-free
+  ratio so that only masks near the best get log1p.  Buffers take 1.25
+  MiB at 16 antennas, 2.5 at 20 and 3.75 at 24; a search takes 0.9 ms,
+  7 ms and 105-116 ms (process CPU time on a 2-core host), under half of
+  the ascending block walk it replaced, with the same choices;
 * simulated annealing over subsets (scales past the exhaustive limit);
 * the activation game's scan with a value-only move rule: an antenna
   flips when the flip strictly raises the coalition value, instead of on
@@ -21,24 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import wavelengths
-from .coalitions import ENUMERATION_CAP, full_mask
-from .game import DEFAULT_MAX_CYCLES, CapacityError, GameTrace, ValueFunction, _scan
+from .coalitions import full_mask
+from .game import DEFAULT_MAX_CYCLES, GameTrace, ValueFunction, _scan
 from .geometry import AntennaLayout, Drop, Scenario
 from .secrecy import LinkBudget, SecrecyEvaluator, secrecy_from_snr
 
 # annealing draws its start as one unsigned 64-bit mask
 ANNEALING_MAX_ANTENNAS = 64
-
-
-def _exhaustive_evaluator(bob_coeffs, eve_coeffs, budget: LinkBudget) -> SecrecyEvaluator:
-    """The drop's evaluator, after checking its antenna count is 1 to the cap."""
-    evaluator = SecrecyEvaluator(bob_coeffs, eve_coeffs, budget)
-    n = evaluator.n_antennas
-    if n < 1:
-        raise ValueError("need at least one antenna")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"exhaustive search over 2^{n} masks exceeds the enumeration cap")
-    return evaluator
 
 
 def enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget: LinkBudget) -> np.ndarray:
@@ -48,9 +37,10 @@ def enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget: LinkBudget) -> np.n
     channel_vector returns them.  Entry 0 (empty mask) is -inf so argmax
     never picks it.
     """
-    evaluator = _exhaustive_evaluator(bob_coeffs, eve_coeffs, budget)
+    evaluator = SecrecyEvaluator(bob_coeffs, eve_coeffs, budget)
+    blocks = evaluator.snr_blocks()
     table = np.empty(1 << evaluator.n_antennas)
-    for first, snr, _ in evaluator.snr_blocks():
+    for first, snr, _ in blocks:
         secrecy_from_snr(snr, out=table[first:first + snr.shape[1]])
     table[0] = -np.inf
     return table
@@ -66,18 +56,16 @@ def enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget: LinkBudget) -> np.n
 _NEAR_BEST = 1.0 - 1e-9
 
 
-def brute_force_secrecy_optimum(bob_coeffs, eve_coeffs,
-                                budget: LinkBudget) -> tuple[int, float, float, float]:
-    """Exact best coalition for the secrecy objective.
+def brute_force_secrecy_optimum(evaluator: SecrecyEvaluator) -> tuple[int, float, float, float]:
+    """Exact best coalition of the evaluator's drop, scored by the evaluator.
 
     Returns (mask, secrecy rate, user rate, eavesdropper rate).  Each block
-    of SecrecyEvaluator.snr_blocks is ranked by the log-free ratio
+    of evaluator.snr_blocks is ranked by the log-free ratio
     (1 + bob SNR) / (1 + eve SNR); only the masks near the best ratio so
     far (_NEAR_BEST) get the finish stage, whose values equal the
     evaluator's own.  Blocks do not arrive in mask order, so a tie in
     value goes to the smaller mask explicitly.
     """
-    evaluator = _exhaustive_evaluator(bob_coeffs, eve_coeffs, budget)
     mask, best, top = 0, -np.inf, -np.inf
     for first, snr, spare in evaluator.snr_blocks():
         ones_plus = np.add(snr, 1.0, out=spare)

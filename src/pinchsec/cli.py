@@ -69,8 +69,7 @@ def _cmd_single_drop(args) -> int:
     print()
     print("   n     x_n      |h_bob|   arg_bob     |h_eve|   arg_eve")
     for i, x in enumerate(trial.layout.positions_x):
-        hb = trial.bob_channels[i]
-        he = trial.eve_channels[i]
+        hb, he = trial.evaluator.channel_sums(1 << i)
         print(f"  {i:2d}  {x:7.4f}  {abs(hb):.4e}  {np.angle(hb):+8.4f}"
               f"  {abs(he):.4e}  {np.angle(he):+8.4f}")
     print()
@@ -154,7 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("single-drop", parents=[common],
                        help="print channels, trace, and payoffs for one trial")
     flag(p, "--power", "power_dbm", metavar="DBM", help="transmit power")
-    p.add_argument("--trial", type=int, default=0, metavar="N")
+
+    def trial_index(text):
+        index = int(text)
+        if index < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {index}")
+        return index
+    p.add_argument("--trial", type=trial_index, default=0, metavar="N")
     p.set_defaults(entry=_cmd_single_drop)
     return parser
 

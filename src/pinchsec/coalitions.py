@@ -16,6 +16,10 @@ ENUMERATION_CAP = 24
 _CACHED_SIZES = 16
 
 
+class CapacityError(ValueError):
+    """Raised when work past ENUMERATION_CAP is asked for."""
+
+
 def from_members(members) -> int:
     """Bit mask with the given antenna indices set."""
     mask = 0

@@ -35,16 +35,12 @@ from typing import Callable
 import numpy as np
 
 from . import coalitions
-from .coalitions import ENUMERATION_CAP
+from .coalitions import ENUMERATION_CAP, CapacityError
 from .geometry import AntennaLayout
 
 ValueFunction = Callable[[int], float]
 
 DEFAULT_MAX_CYCLES = 100
-
-
-class CapacityError(ValueError):
-    """Raised when a coalition is too large for exact subset enumeration."""
 
 
 @lru_cache(maxsize=None)

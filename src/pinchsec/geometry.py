@@ -1,4 +1,4 @@
-"""Physical scenario, antenna placement, user drops, and distances.
+"""Physical scenario, antenna placement, and user drops.
 
 Coordinate convention: the waveguide runs along the line y = 0 at height
 z = waveguide_height, for x in [0, waveguide_length].  Users live on the
@@ -9,6 +9,7 @@ optional one-sided mode uses y in [0, region_y] instead.
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,10 +97,11 @@ class Drop:
     eve: Point
 
 
+@lru_cache(maxsize=None)
 def uniform_layout(scenario: Scenario, n: int) -> AntennaLayout:
     """Equally spaced layout over the full waveguide, endpoints included.
 
-    A single antenna goes at the waveguide midpoint.
+    A single antenna goes at the waveguide midpoint.  Cached per (scenario, n).
     """
     if n < 1:
         raise ValueError("antenna count must be >= 1")
@@ -108,22 +110,9 @@ def uniform_layout(scenario: Scenario, n: int) -> AntennaLayout:
     return AntennaLayout(tuple(np.linspace(0.0, scenario.waveguide_length, n)))
 
 
-def antenna_points(scenario: Scenario, layout: AntennaLayout) -> np.ndarray:
-    """3D positions (x_n, 0, height) of every antenna as an (N, 3) array."""
-    pts = np.zeros((layout.n_antennas, 3))
-    pts[:, 0] = layout.positions_x
-    pts[:, 2] = scenario.waveguide_height
-    return pts
-
-
 def sample_drop(scenario: Scenario, rng: np.random.Generator) -> Drop:
     """Draw bob and eve independently uniform over the ground region."""
     y_lo, y_hi = scenario.y_bounds()
     bob = (rng.uniform(0.0, scenario.region_x), rng.uniform(y_lo, y_hi), 0.0)
     eve = (rng.uniform(0.0, scenario.region_x), rng.uniform(y_lo, y_hi), 0.0)
     return Drop(bob=bob, eve=eve)
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two 3D points."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))

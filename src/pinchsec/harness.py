@@ -3,7 +3,9 @@
 Runs the secrecy-rate studies behind the package: a transmit-power sweep,
 an antenna-count sweep, and a convergence study that scores the activation
 game against the exhaustive optimum.  Every method in a trial sees the
-same user/eavesdropper drop, so method comparisons are paired.  Seeds
+same user/eavesdropper drop, so method comparisons are paired, and every
+method but the fixed array is scored through the trial's one coalition
+value v(S), built when a method first reads it.  Seeds
 derive deterministically from (master_seed, sweep index, trial index) and,
 for methods with internal randomness, a per-method stream id; results are
 sorted before emission so the worker count never changes the output bytes.
@@ -25,6 +27,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin
 
@@ -36,9 +39,8 @@ from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule,
                         coalition_value_activation, simulated_annealing,
                         ula_secrecy_rate)
 from .channel import channel_vector
-from .coalitions import ENUMERATION_CAP
-from .game import (DEFAULT_MAX_CYCLES, CapacityError, GameTrace, closest_antenna,
-                   run_activation)
+from .coalitions import ENUMERATION_CAP, CapacityError
+from .game import DEFAULT_MAX_CYCLES, GameTrace, closest_antenna, run_activation
 from .geometry import AntennaLayout, Drop, Scenario, sample_drop, uniform_layout
 from .secrecy import LinkBudget, SecrecyEvaluator
 
@@ -77,9 +79,7 @@ class ExperimentConfig:
         # every power a study can run must make a usable link budget
         for power in (*self.power_dbm_axis, self.power_dbm, self.convergence_power_dbm):
             LinkBudget(power, self.scenario.noise_power_dbm)
-        if not math.isfinite(self.sa_initial_temperature):
-            raise ValueError(f"sa_initial_temperature must be finite, "
-                             f"got {self.sa_initial_temperature}")
+        AnnealingSchedule(self.sa_initial_temperature, self.sa_steps)
         if not self.antenna_axis:
             raise ValueError("antenna axis must be nonempty")
         if any(n < 1 for n in self.antenna_axis):
@@ -101,10 +101,6 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
-        if self.sa_steps < 0:
-            raise ValueError("sa_steps must be nonnegative")
-        if self.sa_initial_temperature <= 0:
-            raise ValueError("sa_initial_temperature must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,9 @@ def method_seed(master_seed: int, sweep_idx: int, trial: int, method: str) -> np
     return np.random.SeedSequence([master_seed, sweep_idx, trial, METHODS[method].stream_id])
 
 
-class Trial(NamedTuple):
-    """One drop and everything the methods of its trial share."""
+@dataclass(frozen=True)
+class Trial:
+    """One drop and what its methods share; evaluator is built on first read."""
 
     config: ExperimentConfig
     sweep_idx: int
@@ -159,25 +156,26 @@ class Trial(NamedTuple):
     seed: int                   # fingerprint of the drop stream
     drop: Drop
     layout: AntennaLayout
-    bob_channels: np.ndarray    # complex coefficient per antenna
-    eve_channels: np.ndarray
     budget: LinkBudget
-    evaluator: SecrecyEvaluator
+
+    @cached_property
+    def evaluator(self) -> SecrecyEvaluator:
+        """v(S) over both channel vectors, through this module's names at call time."""
+        scenario, layout, drop = self.config.scenario, self.layout, self.drop
+        return SecrecyEvaluator(channel_vector(scenario, layout, drop.bob),
+                                channel_vector(scenario, layout, drop.eve), self.budget)
 
 
 def build_trial(config: ExperimentConfig, sweep_idx: int, trial_idx: int,
                 n_antennas: int, power_dbm: float) -> Trial:
-    """Draw a trial's drop and build its channels and coalition value."""
+    """Draw a trial's drop; its coalition value waits for first use."""
     scenario = config.scenario
     seq = drop_seed(config.master_seed, sweep_idx, trial_idx)
     fingerprint = int(seq.generate_state(1, np.uint64)[0])
     drop = sample_drop(scenario, np.random.default_rng(seq))
-    layout = uniform_layout(scenario, n_antennas)
-    bob_channels = channel_vector(scenario, layout, drop.bob)
-    eve_channels = channel_vector(scenario, layout, drop.eve)
-    budget = LinkBudget(power_dbm, scenario.noise_power_dbm)
-    return Trial(config, sweep_idx, trial_idx, fingerprint, drop, layout, bob_channels,
-                 eve_channels, budget, SecrecyEvaluator(bob_channels, eve_channels, budget))
+    return Trial(config, sweep_idx, trial_idx, fingerprint, drop,
+                 uniform_layout(scenario, n_antennas),
+                 LinkBudget(power_dbm, scenario.noise_power_dbm))
 
 
 class Outcome(NamedTuple):
@@ -218,8 +216,7 @@ def _coalition_value(trial: Trial) -> Outcome:
 
 
 def _brute_force(trial: Trial) -> Outcome:
-    mask, _, bob_rate, eve_rate = brute_force_secrecy_optimum(
-        trial.bob_channels, trial.eve_channels, trial.budget)
+    mask, _, bob_rate, eve_rate = brute_force_secrecy_optimum(trial.evaluator)
     return Outcome(mask, bob_rate, eve_rate, (1 << trial.layout.n_antennas) - 1)
 
 

@@ -148,7 +148,7 @@ class SecrecyEvaluator:
     def snr_blocks(self):
         """The kernel's SNR stage for every mask, in blocks of 2^13 masks.
 
-        Yields (first mask, snr, spare): snr holds rho * |h|^2 of bob and
+        Iterates (first mask, snr, spare): snr holds rho * |h|^2 of bob and
         eve as two planes, and spare is two planes of the same shape that
         the caller may overwrite.  Both are views of one buffer, reused, so
         they hold a block only until the next is drawn.  Entry 0 of the
@@ -164,8 +164,17 @@ class SecrecyEvaluator:
         of high antennas set; a block whose highest antenna is the last has
         no children, so its sums go straight to the square buffer.  Buffers
         take 32 bytes per block entry per stack level, 8 per rho row and 32
-        for the square: 1.25 MiB at n = 16, 2.5 at 20 and 3.75 at 24.
+        for the square: 1.25 MiB at n = 16, 2.5 at 20 and 3.75 at 24.  The
+        call refuses n < 1 (ValueError) and n > ENUMERATION_CAP (CapacityError).
         """
+        if self._n < 1:
+            raise ValueError("need at least one antenna")
+        if self._n > coalitions.ENUMERATION_CAP:
+            raise coalitions.CapacityError(
+                f"exhaustive search over 2^{self._n} masks exceeds the enumeration cap")
+        return self._blocks()
+
+    def _blocks(self):
         low_bits = min(self._n, _BLOCK_BITS)
         high_bits = self._n - low_bits
         # rho by active count, one row per number of high antennas set; a

@@ -14,7 +14,6 @@ import numpy as np
 from pinchsec import coalitions, wavelengths
 from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.game import CapacityError, _subset_weights, shapley_value
-from pinchsec.geometry import distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,7 +23,7 @@ def _legs(scenario, layout, receiver, n: int) -> tuple[float, float]:
     if not 0 <= n < layout.n_antennas:
         raise IndexError(f"antenna index {n} out of range")
     x_n = layout.positions_x[n]
-    free = distance(receiver, (x_n, 0.0, scenario.waveguide_height))
+    free = math.dist(receiver, (x_n, 0.0, scenario.waveguide_height))
     return free, abs(scenario.feed_point_x - x_n)
 
 

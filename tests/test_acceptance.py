@@ -229,7 +229,7 @@ def test_criterion_09_annealing_matches_exhaustive(capsys):
         bob = channel_vector(s, layout, drop.bob)
         eve = channel_vector(s, layout, drop.eve)
         v = SecrecyEvaluator(bob, eve, budget)
-        _, best, _, _ = brute_force_secrecy_optimum(bob, eve, budget)
+        _, best, _, _ = brute_force_secrecy_optimum(v)
         trace = []
         _, found = simulated_annealing(
             v, 10, AnnealingSchedule(steps=100_000),

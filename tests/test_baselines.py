@@ -79,10 +79,20 @@ def test_enumeration_input_validation():
         enumerate_secrecy_values(np.ones(25, complex), np.ones(25, complex), budget)
 
 
+@pytest.mark.parametrize("n, error", [(0, ValueError), (25, CapacityError)])
+def test_brute_force_refuses_an_evaluator_outside_the_cap(n, error):
+    v = SecrecyEvaluator(np.ones(n, complex), np.ones(n, complex),
+                         LinkBudget.from_scenario(Scenario(), 10.0))
+    with pytest.raises(error):
+        brute_force_secrecy_optimum(v)
+    with pytest.raises(error):
+        v.snr_blocks()   # refused on the call, before any block is drawn
+
+
 def test_both_exhaustive_routes_agree():
     _, _, budget, _, bob, eve, v = _drop_evaluator(seed=9, n=8)
     mask_a, value_a = brute_force_optimum(v, 8)
-    mask_b, value_b, rb, re = brute_force_secrecy_optimum(bob, eve, budget)
+    mask_b, value_b, rb, re = brute_force_secrecy_optimum(v)
     assert mask_a == mask_b
     assert value_a == pytest.approx(value_b, rel=1e-12)
     assert rb - re == pytest.approx(value_b, rel=1e-12)
@@ -95,13 +105,13 @@ def _assert_search_matches_table(hb, he, budget, rng):
     n = len(hb)
     table = one_shot_table(hb, he, budget)
     np.testing.assert_array_equal(enumerate_secrecy_values(hb, he, budget), table)
-    mask, value, rb, re = brute_force_secrecy_optimum(hb, he, budget)
+    v = SecrecyEvaluator(hb, he, budget)
+    mask, value, rb, re = brute_force_secrecy_optimum(v)
     assert mask == int(np.argmax(table))
     assert value == rb - re
     # one kernel: the block values, the scalar lookups and the optimum's
     # score agree bit for bit
     assert value == table[mask]
-    v = SecrecyEvaluator(hb, he, budget)
     for m in rng.integers(1, 1 << n, size=8).tolist() + [(1 << n) - 1]:
         assert v(m) == table[m]
 
@@ -144,7 +154,7 @@ def test_streamed_search_finishes_a_mask_whose_ratio_rounds_below_the_best():
     table = one_shot_table(hb, he, budget)
     assert int(np.argmax(table)) == 0b10
     assert (1.0 + 1.2e-16) / (1.0 + 1e-16) > 1.0
-    mask, value, *_ = brute_force_secrecy_optimum(hb, he, budget)
+    mask, value, *_ = brute_force_secrecy_optimum(SecrecyEvaluator(hb, he, budget))
     assert mask == 0b10
     assert value == table[0b10]
 
@@ -165,7 +175,7 @@ def test_streamed_search_tie_keeps_smallest_mask(twin):
     table = one_shot_table(hb, he, budget)
     tied = np.flatnonzero(table == table.max())
     assert tied.tolist() == [0b100010, (1 << 5) | (1 << twin)]
-    mask, *_ = brute_force_secrecy_optimum(hb, he, budget)
+    mask, *_ = brute_force_secrecy_optimum(SecrecyEvaluator(hb, he, budget))
     assert mask == 0b100010
 
 
@@ -184,7 +194,7 @@ def test_tie_across_blocks_out_of_mask_order_keeps_smallest_mask():
     table = one_shot_table(hb, he, budget)
     tied = np.flatnonzero(table == table.max())
     assert tied.tolist() == [(1 << 1) | (1 << (b + 1)), (1 << b) | (1 << (b + 1))]
-    mask, *_ = brute_force_secrecy_optimum(hb, he, budget)
+    mask, *_ = brute_force_secrecy_optimum(SecrecyEvaluator(hb, he, budget))
     assert mask == tied[0]
 
 
@@ -193,7 +203,7 @@ def test_identical_channels_tie_to_single_antenna():
     # and the tie rule must pick mask 1
     budget = LinkBudget.from_scenario(Scenario(), 10.0)
     h = (np.arange(1, 6) * (0.3 + 0.4j)) * 1e-4
-    mask, value, rb, re = brute_force_secrecy_optimum(h, h, budget)
+    mask, value, rb, re = brute_force_secrecy_optimum(SecrecyEvaluator(h, h, budget))
     assert mask == 1
     assert value == 0.0
     assert rb == re
@@ -204,7 +214,7 @@ def test_identical_channels_at_16_antennas_tie_to_single_antenna():
     # mask is finished and the tie rule alone picks mask 1
     budget = LinkBudget(20.0, -90.0)
     h = np.random.default_rng(4).normal(size=16) * 1e-4 + 0j
-    mask, value, rb, re = brute_force_secrecy_optimum(h, h, budget)
+    mask, value, rb, re = brute_force_secrecy_optimum(SecrecyEvaluator(h, h, budget))
     assert mask == 1
     assert value == 0.0
 
@@ -220,7 +230,7 @@ def test_exhaustive_search_memory_is_bounded(n, bound_mib):
     budget = LinkBudget(20.0, -90.0)
     tracemalloc.start()
     try:
-        brute_force_secrecy_optimum(hb, he, budget)
+        brute_force_secrecy_optimum(SecrecyEvaluator(hb, he, budget))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

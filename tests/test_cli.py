@@ -90,6 +90,14 @@ def test_single_drop_rejects_study_flags(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_single_drop_names_a_negative_trial(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["single-drop", "--antennas", "5", "--trial", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --trial: " in err and "-1" in err
+
+
 def test_single_drop_skips_exhaustive_when_too_large(capsys, monkeypatch):
     import pinchsec.cli as cli
     monkeypatch.setattr(cli, "ENUMERATION_CAP", 4)

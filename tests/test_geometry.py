@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pinchsec import AntennaLayout, Scenario, sample_drop, uniform_layout
-from pinchsec.geometry import Drop, antenna_points, distance
+from pinchsec.geometry import Drop
 
 
 def test_default_scenario_values():
@@ -95,13 +95,11 @@ def test_uniform_layout_spacing():
         uniform_layout(s, 0)
 
 
-def test_antenna_points_sit_on_the_waveguide():
-    s = Scenario(waveguide_height=2.5)
-    pts = antenna_points(s, AntennaLayout((1.0, 4.0, 9.0)))
-    assert pts.shape == (3, 3)
-    np.testing.assert_array_equal(pts[:, 0], [1.0, 4.0, 9.0])
-    np.testing.assert_array_equal(pts[:, 1], 0.0)
-    np.testing.assert_array_equal(pts[:, 2], 2.5)
+def test_uniform_layout_is_built_once_per_scenario_and_count():
+    layout = uniform_layout(Scenario(), 7)
+    assert uniform_layout(Scenario(), 7) is layout
+    assert uniform_layout(Scenario(waveguide_length=8.0), 7) is not layout
+    assert uniform_layout(Scenario(waveguide_length=8.0), 7).positions_x[-1] == 8.0
 
 
 def test_sample_drop_stays_in_region():
@@ -140,8 +138,3 @@ def test_sample_drop_is_deterministic_per_seed():
     assert sample_drop(s, np.random.default_rng(5)) == sample_drop(s, np.random.default_rng(5))
     assert sample_drop(s, np.random.default_rng(5)) != sample_drop(s, np.random.default_rng(6))
 
-
-def test_distance():
-    assert distance((0.0, 0.0, 0.0), (3.0, 4.0, 0.0)) == 5.0
-    assert distance((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
-    assert math.isclose(distance((0, 0, 0), (1, 1, 1)), math.sqrt(3.0), rel_tol=1e-15)

@@ -19,7 +19,7 @@ from pinchsec import (
     run_power_sweep,
     write_outputs,
 )
-from pinchsec import game, harness
+from pinchsec import game, harness, secrecy
 from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.harness import (ResultRow, apply_overrides, config_from_ini, drop_seed,
                               effective_config_ini, emit_csv, method_seed)
@@ -58,6 +58,7 @@ def _row_key(row):
     {"sa_initial_temperature": float("inf")},
     {"power_dbm_axis": (10.0, 10.0)},
     {"antenna_axis": (5, 10, 5)},
+    {"sa_initial_temperature": -1.0},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -384,6 +385,34 @@ def test_every_method_limit_is_refused_before_any_trial(monkeypatch, method):
         run_antenna_sweep(config)
     assert str(info.value) == (f"{method} supports at most {limit} antennas; "
                                f"this study needs it at {limit + 1}")
+
+
+def test_a_fixed_ula_trial_builds_no_pinching_channel(monkeypatch):
+    config = ExperimentConfig(n_antennas=6, trials=3, power_dbm_axis=(0.0, 20.0),
+                              methods=("fixed-ula",), master_seed=5)
+    plain = run_power_sweep(config)
+
+    def no_channel(*args):
+        raise AssertionError("fixed-ula reads no pinching-antenna channel")
+
+    monkeypatch.setattr(harness, "channel_vector", no_channel)
+    patched = run_power_sweep(config)
+    assert [_row_key(r) for r in patched.rows] == [_row_key(r) for r in plain.rows]
+
+
+def test_a_convergence_trial_builds_one_evaluator(monkeypatch):
+    # the two games and the exhaustive reference all score the trial's own v
+    built = []
+    init = secrecy.SecrecyEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(secrecy.SecrecyEvaluator, "__init__", counting_init)
+    result = run_convergence_study(ExperimentConfig(n_antennas=12, trials=3, master_seed=4))
+    assert result.reference_method == "brute-force"
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("workers, trials, pool_size", [
