@@ -20,16 +20,6 @@ class CapacityError(ValueError):
     """Raised when work past ENUMERATION_CAP is asked for."""
 
 
-def from_members(members) -> int:
-    """Bit mask with the given antenna indices set."""
-    mask = 0
-    for n in members:
-        if n < 0:
-            raise ValueError("antenna index must be nonnegative")
-        mask |= 1 << n
-    return mask
-
-
 def members(mask: int) -> tuple[int, ...]:
     """Sorted antenna indices present in a mask."""
     if mask < 0:

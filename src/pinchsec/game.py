@@ -8,23 +8,37 @@ Each member's payoff is its subset-weighted average marginal contribution
 
 computed exactly from one table of v over all 2^|S| subsets of S: every
 member's payoff is a weighted sum of the table's differences across that
-member's bit, so one table answers all members at once.  The table lives
-only while its coalition is scored and takes under 64 B x 2^|S| of
-temporary memory (48 B measured at |S| = 20), so under 1 GiB at the
-|S| = 24 cap.
+member's bit, so one table answers all members at once.
 
 Activation starts from the single antenna closest to the legitimate user
 and repeatedly scans all antennas in index order, flipping antenna n in
 or out whenever a move rule flips(mask, n) says so.  The game's rule
-reads both scores of a move from the table of C = mask + n: n's payoff
-and v(C - n) - v(C).  A member leaves when the latter, its leave score,
-strictly beats its payoff (never emptying the coalition); an outsider
-joins when its payoff strictly beats the latter, the value kept by
-staying out.  The loop stops after a full scan with no moves, at which
-point no antenna can improve its payoff by unilaterally joining or
-leaving (Nash stability), or after a cycle cap.  The rule scores each
-coalition once per run.  The value-driven baseline runs the same scan
-with its own rule.
+compares n's payoff in C = mask + n with v(C - n) - v(C).  A member
+leaves when the latter, its leave score, strictly beats its payoff
+(never emptying the coalition); an outsider joins when its payoff
+strictly beats the latter, the value kept by staying out.  The loop
+stops after a full scan with no moves, at which point no antenna can
+improve its payoff by unilaterally joining or leaving (Nash stability),
+or after a cycle cap.  The value-driven baseline runs the same scan with
+its own rule.
+
+The rule scores each mask S it meets from table(S), built once, and
+keeps each mask's moves for the whole scan.  Every member's scores come
+from table(S), and so do the outsiders'.  An outsider n's payoff in
+S + n is the weighted sum over subsets T of S of v(T + n) - v(T), so it
+needs only the row v(T + n), half of the table of S + n.  The rows of a
+chunk of outsiders come from one pass of the kernel, with n's
+coefficient added in its ascending place, so each payoff and leave score
+equals the one the full table of S + n gives, bit for bit.  A chunk's
+rows hold at most 2^13 entries in all, or are one row past that.  A flip
+hands the next mask its table: table(S) without the leaving member's
+entries, or table(S) and the joining outsider's row side by side.
+
+Temporary memory stays under 96 B x 2^|S|, what the full table of S + n
+took (about 65 B measured at |S| = 14 and 18, against 82-86 B for the
+full table).  A scan keeps table(S), the last chunk's rows and the next
+mask's table, so all of it stays under 1 GiB at the |S| = 24 cap; an
+outsider of 24 members is refused before any buffer.
 """
 
 import math
@@ -37,6 +51,7 @@ import numpy as np
 from . import coalitions
 from .coalitions import ENUMERATION_CAP, CapacityError
 from .geometry import AntennaLayout
+from .secrecy import _BLOCK_BITS
 
 ValueFunction = Callable[[int], float]
 
@@ -64,6 +79,17 @@ def _size_weights(size: int) -> np.ndarray:
     return np.array(_subset_weights(size) + (0.0,))[coalitions.subset_sizes(size)]
 
 
+def _outsider_weights(size: int) -> np.ndarray:
+    """Weight of every subset of a coalition of the given size, as a subset
+    of one of size + 1: the terms of an outsider's payoff."""
+    weights = np.array(_subset_weights(size + 1))[coalitions.subset_sizes(size)]
+    weights.flags.writeable = False
+    return weights
+
+
+_cached_outsider_weights = lru_cache(maxsize=None)(_outsider_weights)
+
+
 @lru_cache(maxsize=None)
 def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per member i: the indices with bit i set, the same without it, and the
@@ -76,16 +102,23 @@ def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return plan
 
 
-def _subset_table(v: ValueFunction, coalition: int) -> np.ndarray:
-    """v over every subset of the coalition; bit i is its i-th lowest member."""
+def _subset_table(v: ValueFunction, coalition: int, joining=None) -> np.ndarray:
+    """v over every subset of the coalition; bit i is its i-th lowest member.
+
+    With joining antennas (ascending, outside the coalition), one row per
+    joining antenna n instead: v(sub + n) for every subset, indexed the same
+    way.
+    """
     subset_values = getattr(v, "subset_values", None)
     if subset_values is not None:
-        return subset_values(coalition)
+        return subset_values(coalition, joining)
     subsets = [0]
     for n in coalitions.members(coalition):
         bit = 1 << n
         subsets += [sub | bit for sub in subsets]
-    return np.array([v(sub) for sub in subsets], dtype=np.float64)
+    if joining is None:
+        return np.array([v(sub) for sub in subsets], dtype=np.float64)
+    return np.array([[v(sub | 1 << n) for sub in subsets] for n in joining], dtype=np.float64)
 
 
 def _member_payoffs(table: np.ndarray) -> np.ndarray:
@@ -107,20 +140,52 @@ def _member_payoffs(table: np.ndarray) -> np.ndarray:
     return payoffs
 
 
+def _check_size(size: int) -> None:
+    if size > ENUMERATION_CAP:
+        raise CapacityError(f"coalition size {size} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
+def _member_scores(table: np.ndarray) -> tuple[list[float], list[float]]:
+    """Every member's payoff and leave score from a subset table, lowest
+    member first: leave[i] = v(C - member i) - v(C)."""
+    last = table.size - 1
+    whole = table.item(last)
+    leave = [table.item(last ^ (1 << i)) - whole for i in range(last.bit_length())]
+    return _member_payoffs(table).tolist(), leave
+
+
 def _coalition_scores(v: ValueFunction, coalition: int) -> tuple[list[float], list[float]]:
     """Every member's payoff and leave score, lowest member first.
 
     Both come from one subset table of a coalition of at most
     ENUMERATION_CAP: leave[i] = v(C - member i) - v(C).
     """
-    size = coalition.bit_count()
-    if size > ENUMERATION_CAP:
-        raise CapacityError(f"coalition size {size} exceeds enumeration cap {ENUMERATION_CAP}")
-    table = _subset_table(v, coalition)
-    last = table.size - 1
-    whole = table.item(last)
-    leave = [table.item(last ^ (1 << i)) - whole for i in range(size)]
-    return _member_payoffs(table).tolist(), leave
+    _check_size(coalition.bit_count())
+    return _member_scores(_subset_table(v, coalition))
+
+
+def _chunk_rows(size: int) -> int:
+    """Outsiders of a size-member coalition whose joined rows fit one chunk:
+    2^_BLOCK_BITS entries, or one row past that."""
+    return max(1, (1 << _BLOCK_BITS) >> size)
+
+
+def _outsider_scores(v: ValueFunction, coalition: int, table: np.ndarray,
+                     outsiders: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Payoff and leave score of each outsider n as a member of coalition + n,
+    and its row v(T + n) over the coalition's subsets T.
+
+    table is the coalition's subset table; outsiders ascend and fill at
+    most one chunk (_chunk_rows), so no buffer outgrows the table of
+    coalition + n, which the caller has checked against the cap.  n's
+    payoff is the weighted sum over subsets T of v(T + n) - v(T), in table
+    order, and its leave score is v(C) - v(C + n); both equal n's scores in
+    _coalition_scores(v, coalition + n) bit for bit.
+    """
+    size = table.size.bit_length() - 1
+    weights = _cached_outsider_weights(size) if size <= _BLOCK_BITS else _outsider_weights(size)
+    joined = _subset_table(v, coalition, outsiders)
+    return ((joined - table) * weights).sum(axis=1), table[-1] - joined[:, -1], joined
 
 
 def _local_index(coalition: int, antenna: int) -> int:
@@ -139,28 +204,88 @@ def shapley_value(v: ValueFunction, coalition: int, member: int) -> float:
     return _coalition_scores(v, coalition)[0][_local_index(coalition, member)]
 
 
-def _payoff_rule(v: ValueFunction) -> Callable[[int, int], bool]:
+def _payoff_rule(v: ValueFunction, n_antennas: int) -> Callable[[int, int], bool]:
     """flips(mask, n): the payoff game's move rule for antenna n.
 
-    Compares n's payoff with v(C - n) - v(C), both read from the table of
-    C = mask + n (see the module docstring); each C is scored once.
+    Compares n's payoff in C = mask + n with v(C - n) - v(C) (see the module
+    docstring).  The first member asked about scores every member of the
+    mask from the mask's table.  An outsider not yet scored is scored with
+    the next outsiders in scan order, as many as fit one chunk
+    (_chunk_rows), in one pass over the same table.  Each mask keeps its
+    moves as bit masks of antennas.  A flip hands the next mask its table:
+    the current table without the leaving member's half, or with the
+    joining outsider's row as the new half.
     """
-    scored = {}     # C -> (payoffs, leave scores) of its members, lowest first
+    leaves = {}     # mask -> its members that leave
+    joins = {}      # mask -> its scored outsiders that join
+    scored = {}     # mask -> its scored outsiders
+    # the current mask, its subset table, and the last chunk of outsiders
+    # scored against it with their rows v(T + n)
+    state = [-1, None, [], None]
+
+    def table_of(mask):
+        if state[0] != mask:
+            _check_size(mask.bit_count())
+            state[:] = mask, _subset_table(v, mask), [], None
+        return state[1]
 
     def flips(mask, n):
         bit = 1 << n
-        if mask == bit:
-            return False
-        coalition = mask | bit
-        scores = scored.get(coalition)
-        if scores is None:
-            scores = scored[coalition] = _coalition_scores(v, coalition)
-        payoffs, leave = scores
-        i = _local_index(coalition, n)
         if mask & bit:
-            return leave[i] > payoffs[i]
-        return payoffs[i] > leave[i]
+            if mask == bit:
+                return False
+            moves = leaves.get(mask)
+            if moves is None:
+                payoffs, leave = _member_scores(table_of(mask))
+                moves = leaves[mask] = _moves(coalitions.members(mask), leave, payoffs)
+            if not moves & bit:
+                return False
+            if state[0] == mask:
+                state[:] = mask ^ bit, _without_member(state[1], _local_index(mask, n)), [], None
+            return True
+        done = scored.get(mask, 0)
+        if not done & bit:
+            size = mask.bit_count()
+            _check_size(size + 1)   # before the table is built
+            rows = _chunk_rows(size)
+            taken = mask | done
+            chunk = [m for m in range(n_antennas) if not taken >> m & 1]
+            if len(chunk) > rows:
+                # the next ones in the order the scan asks: from n up, then from 0
+                i = chunk.index(n)
+                chunk = sorted((chunk[i:] + chunk[:i])[:rows])
+            payoffs, leave, joined = _outsider_scores(v, mask, table_of(mask), chunk)
+            state[2:] = chunk, joined
+            joins[mask] = joins.get(mask, 0) | _moves(chunk, payoffs.tolist(), leave.tolist())
+            scored[mask] = done | sum(1 << m for m in chunk)
+        if not joins[mask] & bit:
+            return False
+        if state[0] == mask and n in state[2]:
+            row = state[3][state[2].index(n)]
+            state[:] = mask | bit, _with_member(state[1], row, _local_index(mask, n)), [], None
+        return True
     return flips
+
+
+def _without_member(table: np.ndarray, i: int) -> np.ndarray:
+    """The subset table of C - member i from the table of C: the entries
+    without bit i, which hold the same sums bit for bit."""
+    return table.reshape(-1, 2, 1 << i)[:, 0].reshape(-1)
+
+
+def _with_member(table: np.ndarray, row: np.ndarray, i: int) -> np.ndarray:
+    """The subset table of C + n from the table of C and n's row v(T + n),
+    n to be member i: the row fills the entries with bit i."""
+    out = np.empty(2 * table.size)
+    halves = out.reshape(-1, 2, 1 << i)
+    halves[:, 0] = table.reshape(-1, 1 << i)
+    halves[:, 1] = row.reshape(-1, 1 << i)
+    return out
+
+
+def _moves(antennas, scores, others) -> int:
+    """Bit mask of the antennas whose score strictly beats the other one."""
+    return sum(1 << n for n, score, other in zip(antennas, scores, others) if score > other)
 
 
 @dataclass(frozen=True)
@@ -271,7 +396,7 @@ def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
     trace.converged = False rather than an error.  Each cycle scans the
     antennas in ascending index order.
     """
-    return _scan(v, layout, bob_position, _payoff_rule(v), max_cycles)
+    return _scan(v, layout, bob_position, _payoff_rule(v, layout.n_antennas), max_cycles)
 
 
 def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int) -> bool:
@@ -284,5 +409,5 @@ def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int) -> bool:
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
     coalitions.validate(coalition, n_antennas)
-    flips = _payoff_rule(v)
+    flips = _payoff_rule(v, n_antennas)
     return not any(flips(coalition, n) for n in range(n_antennas))

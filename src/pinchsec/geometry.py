@@ -60,12 +60,6 @@ class Scenario:
         half = self.region_y / 2.0
         return -half, half
 
-    def contains(self, point) -> bool:
-        """True if a ground-level point lies inside the user region."""
-        x, y, z = point
-        lo, hi = self.y_bounds()
-        return z == 0.0 and 0.0 <= x <= self.region_x and lo <= y <= hi
-
 
 @dataclass(frozen=True)
 class AntennaLayout:

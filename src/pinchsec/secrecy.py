@@ -7,6 +7,7 @@ legitimate link's rate minus the eavesdropper's, not clamped at zero.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,8 @@ class SecrecyEvaluator:
         active = np.arange(1, self._n + 1)
         self._rho = np.concatenate(([0.0], budget.transmit_power_w
                                     / (active * budget.noise_power_w)))
+        self._rho_rows: dict[int, np.ndarray] = {}
+        self._joined_rho_rows: dict[int, np.ndarray] = {}
         self._memo: dict[int, float] = {0: 0.0}
 
     @property
@@ -116,34 +119,73 @@ class SecrecyEvaluator:
         re = float(np.log1p((he.real * he.real + he.imag * he.imag) * rho)) * _INV_LN2
         return rb, re
 
-    def _subset_sums(self, rows, out=None) -> np.ndarray:
+    def _subset_sums(self, rows, out=None, joining=None) -> np.ndarray:
         """Coefficient sums of every subset of the given antennas, as four
         planes of 2^len(rows) entries: bob re, bob im, eve re, eve im.
 
         Doubles one contiguous block per antenna, in the order given: bit k
         of an index stands for rows[k], and each sum adds its antennas in
-        that order.  Writes into out when given.
+        that order.  Writes into out, a contiguous buffer, when given.
+
+        With joining antennas (ascending, none in the ascending rows) the
+        planes are (4, len(joining), 2^len(rows)): one row per joining
+        antenna n, where every sum also adds n in its ascending place.  n
+        joins the first 2^k entries just before the doubling over rows[k],
+        the first row above n, or every entry after the last doubling.
         """
-        sums = np.empty((4, 1 << len(rows))) if out is None else out
-        sums[:, 0] = 0.0
+        if joining is None:
+            joining = ()
+            sums = np.empty((4, 1 << len(rows))) if out is None else out
+            planes = sums.reshape(4, 1, -1)
+        else:
+            sums = planes = np.empty((4, len(joining), 1 << len(rows)))
+            joined_coeffs = self._coeffs[:, joining, None]
+        planes[..., 0] = 0.0
+        joined = 0          # joining antennas added so far: the ones below row
         for k, row in enumerate(rows):
             half = 1 << k
-            np.add(sums[:, :half], self._coeffs[:, row, None], out=sums[:, half:2 * half])
+            if joined < len(joining) and joining[joined] < row:
+                stop = bisect_left(joining, row, joined)
+                planes[:, joined:stop, :half] += joined_coeffs[:, joined:stop]
+                joined = stop
+            np.add(planes[..., :half], self._coeffs[:, row, None, None], out=planes[..., half:2 * half])
+        if joined < len(joining):
+            planes[:, joined:] += joined_coeffs[:, joined:]
         return sums
 
-    def subset_values(self, mask: int) -> np.ndarray:
+    def _rho_row(self, size: int, joined: bool) -> np.ndarray:
+        """rho for every subset index of size antennas, by subset size, or by
+        subset size + 1 when another antenna joins each subset.
+
+        Kept per size up to 2^_BLOCK_BITS entries, where building the row
+        costs as much as using it.
+        """
+        rows = self._joined_rho_rows if joined else self._rho_rows
+        row = rows.get(size)
+        if row is None:
+            row = self._rho[int(joined):][coalitions.subset_sizes(size)]
+            if size <= _BLOCK_BITS:
+                rows[size] = row
+        return row
+
+    def subset_values(self, mask: int, joining=None) -> np.ndarray:
         """v over every subset of a mask, as one array of 2^|mask| entries.
 
         Bit i of an index stands for the i-th lowest member of the mask, so
         entry 0 is v(empty) = 0 and the last entry is v(mask); each entry
         equals self(sub) bit for bit.  Holds 48 bytes per entry at its
         peak.  Nothing is memoized.
+
+        With joining antennas (ascending, outside the mask) the result has
+        one row per joining antenna n instead, indexed the same way: entry
+        i of n's row is self(sub + n), bit for bit, and its peak is 40 bytes
+        per entry.
         """
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        sums = self._subset_sums(members)
-        return secrecy_from_snr(_snr(sums, self._rho[coalitions.subset_sizes(len(members))], sums))
+        sums = self._subset_sums(members, joining=joining)
+        return secrecy_from_snr(_snr(sums, self._rho_row(len(members), joining is not None), sums))
 
     def snr_blocks(self):
         """The kernel's SNR stage for every mask, in blocks of 2^13 masks.

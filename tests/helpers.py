@@ -18,6 +18,23 @@ from pinchsec.game import CapacityError, _subset_weights, shapley_value
 TWO_PI = 2.0 * math.pi
 
 
+def from_members(members) -> int:
+    """Bit mask with the given antenna indices set."""
+    mask = 0
+    for n in members:
+        if n < 0:
+            raise ValueError("antenna index must be nonnegative")
+        mask |= 1 << n
+    return mask
+
+
+def in_region(scenario, point) -> bool:
+    """True if a ground-level point lies inside the scenario's user region."""
+    x, y, z = point
+    lo, hi = scenario.y_bounds()
+    return z == 0.0 and 0.0 <= x <= scenario.region_x and lo <= y <= hi
+
+
 def _legs(scenario, layout, receiver, n: int) -> tuple[float, float]:
     """Free-space and guided path lengths from antenna n to the receiver."""
     if not 0 <= n < layout.n_antennas:
@@ -210,7 +227,7 @@ def permutation_payoff(table, members, member):
 
 def random_value_table(rng, members):
     """Random value table over every subset of the given member set."""
-    full = coalitions.from_members(members)
+    full = from_members(members)
     table = {}
     sub = full
     while True:

@@ -23,7 +23,6 @@ from pinchsec import (
     SecrecyEvaluator,
     brute_force_secrecy_optimum,
     channel_vector,
-    coalitions,
     run_activation,
     run_antenna_sweep,
     run_convergence_study,
@@ -40,6 +39,7 @@ from pinchsec.game import is_nash_stable
 from pinchsec.harness import drop_seed, method_seed
 from helpers import (
     channel_coefficient,
+    from_members,
     mean_secrecy,
     paired_differences,
     permutation_payoff,
@@ -68,7 +68,7 @@ def test_criterion_01_payoff_oracle_equivalence(capsys):
         k = int(rng.integers(1, 7))
         members = tuple(sorted(int(m) for m in rng.choice(9, size=k, replace=False)))
         table = random_value_table(rng, members)
-        coalition = coalitions.from_members(members)
+        coalition = from_members(members)
         payoffs = {m: shapley_value(table.__getitem__, coalition, m) for m in members}
         for m in members:
             worst = max(worst, abs(payoffs[m] - permutation_payoff(table, members, m)))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsec import AntennaLayout, Scenario, channel_vector, uniform_layout, wavelengths
 from helpers import (channel_coefficient, effective_channel, phase_gap, solve_alignment,
@@ -86,6 +88,26 @@ def test_coefficient_phase_against_high_precision_oracle():
     got = cmath.phase(channel_coefficient(s, layout, receiver, 0))
     diff = (got - (-expected)) % (2.0 * math.pi)
     assert min(diff, 2.0 * math.pi - diff) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.floats(0.0, 10.0), st.floats(-3.0, 3.0))
+def test_every_coefficient_phase_against_high_precision_oracle(n, x, y):
+    # each coefficient's wrapped phase lies in [0, 2pi) and matches a 50-digit
+    # reduction of the unwrapped phase up to rounding of that phase
+    mp = pytest.importorskip("mpmath")
+    s = Scenario()
+    layout = uniform_layout(s, n)
+    receiver = (x, y, 0.0)
+    two_pi = 2.0 * math.pi
+    with mp.workdps(50):
+        for i, h in enumerate(channel_vector(s, layout, receiver)):
+            wrapped = math.fmod(two_pi - cmath.phase(complex(h)), two_pi)
+            assert 0.0 <= wrapped < two_pi
+            total = total_phase(s, layout, receiver, i)
+            expected = float(mp.fmod(mp.mpf(total), 2 * mp.pi))
+            gap = abs(wrapped - expected)
+            assert min(gap, two_pi - gap) <= 16 * math.ulp(total)
 
 
 def test_channel_vector_matches_scalar_coefficients():

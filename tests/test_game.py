@@ -8,7 +8,6 @@ from pinchsec import (
     Scenario,
     SecrecyEvaluator,
     channel_vector,
-    coalitions,
     payoff_reports,
     run_activation,
     sample_drop,
@@ -17,7 +16,7 @@ from pinchsec import (
 )
 from pinchsec import game
 from pinchsec.game import closest_antenna, is_nash_stable
-from helpers import permutation_payoff, random_value_table, scalar_rule
+from helpers import from_members, permutation_payoff, random_value_table, scalar_rule
 
 
 def test_payoff_matches_permutation_enumeration():
@@ -26,7 +25,7 @@ def test_payoff_matches_permutation_enumeration():
         k = int(rng.integers(1, 7))
         members = tuple(sorted(int(m) for m in rng.choice(10, size=k, replace=False)))
         table = random_value_table(rng, members)
-        coalition = coalitions.from_members(members)
+        coalition = from_members(members)
         for member in members:
             got = shapley_value(table.__getitem__, coalition, member)
             want = permutation_payoff(table, members, member)
@@ -39,7 +38,7 @@ def test_payoffs_are_efficient():
     for _ in range(20):
         members = tuple(sorted(int(m) for m in rng.choice(8, size=5, replace=False)))
         table = random_value_table(rng, members)
-        coalition = coalitions.from_members(members)
+        coalition = from_members(members)
         total = sum(shapley_value(table.__getitem__, coalition, m) for m in members)
         assert total == pytest.approx(table[coalition] - table[0], rel=1e-12, abs=1e-12)
 

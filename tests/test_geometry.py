@@ -6,6 +6,7 @@ import pytest
 
 from pinchsec import AntennaLayout, Scenario, sample_drop, uniform_layout
 from pinchsec.geometry import Drop
+from helpers import in_region
 
 
 def test_default_scenario_values():
@@ -54,16 +55,16 @@ def test_y_bounds_one_sided():
 
 def test_contains_interior_boundary_exterior():
     s = Scenario()
-    assert s.contains((5.0, 0.0, 0.0))
-    assert s.contains((0.0, -3.0, 0.0))
-    assert s.contains((10.0, 3.0, 0.0))
-    assert not s.contains((10.001, 0.0, 0.0))
-    assert not s.contains((-0.001, 0.0, 0.0))
-    assert not s.contains((5.0, 3.001, 0.0))
-    assert not s.contains((5.0, 0.0, 1.0))   # users live at ground level
+    assert in_region(s, (5.0, 0.0, 0.0))
+    assert in_region(s, (0.0, -3.0, 0.0))
+    assert in_region(s, (10.0, 3.0, 0.0))
+    assert not in_region(s, (10.001, 0.0, 0.0))
+    assert not in_region(s, (-0.001, 0.0, 0.0))
+    assert not in_region(s, (5.0, 3.001, 0.0))
+    assert not in_region(s, (5.0, 0.0, 1.0))   # users live at ground level
     one_sided = Scenario(one_sided_region=True)
-    assert one_sided.contains((5.0, 6.0, 0.0))
-    assert not one_sided.contains((5.0, -0.001, 0.0))
+    assert in_region(one_sided, (5.0, 6.0, 0.0))
+    assert not in_region(one_sided, (5.0, -0.001, 0.0))
 
 
 def test_layout_coerces_and_validates():
@@ -107,8 +108,8 @@ def test_sample_drop_stays_in_region():
     rng = np.random.default_rng(7)
     for _ in range(200):
         drop = sample_drop(s, rng)
-        assert s.contains(drop.bob)
-        assert s.contains(drop.eve)
+        assert in_region(s, drop.bob)
+        assert in_region(s, drop.eve)
         assert drop.bob[2] == 0.0 and drop.eve[2] == 0.0
 
 

@@ -3,7 +3,7 @@ them, and the subset table."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pinchsec import (
@@ -20,15 +20,17 @@ from pinchsec import (
     shapley_value,
     uniform_layout,
 )
-from pinchsec.game import _coalition_scores, _scan, is_nash_stable
-from helpers import loop_payoff, permutation_payoff, scalar_rule
+from pinchsec.coalitions import ENUMERATION_CAP
+from pinchsec.game import (_chunk_rows, _coalition_scores, _outsider_scores, _payoff_rule, _scan,
+                           _subset_table, _with_member, _without_member, is_nash_stable)
+from helpers import from_members, loop_payoff, permutation_payoff, scalar_rule
 
 SCENARIO = Scenario()
 
 
 def _table(members, values):
     """Value table over every subset of members from a flat list of values."""
-    full = coalitions.from_members(members)
+    full = from_members(members)
     table = {}
     sub, i = full, 0
     while True:
@@ -54,7 +56,7 @@ def games(draw, max_members=8):
 @given(games())
 def test_payoffs_sum_to_the_coalition_value(game):
     members, table = game
-    coalition = coalitions.from_members(members)
+    coalition = from_members(members)
     payoffs = np.array(_coalition_scores(table.__getitem__, coalition)[0])
     assert payoffs.shape == (len(members),)
     assert abs(payoffs.sum() - table[coalition]) <= 1e-12
@@ -63,7 +65,7 @@ def test_payoffs_sum_to_the_coalition_value(game):
 @given(games(), st.data())
 def test_payoffs_agree_with_the_scalar_oracles(game, data):
     members, table = game
-    coalition = coalitions.from_members(members)
+    coalition = from_members(members)
     member = data.draw(st.sampled_from(members))
     got = shapley_value(table.__getitem__, coalition, member)
     assert abs(got - loop_payoff(table.__getitem__, coalition, member)) <= 1e-12
@@ -111,7 +113,7 @@ def test_subset_table_equals_the_evaluator_exactly(n, seed, power_dbm, data):
     assert table.shape == (1 << len(members),)
     fresh = _evaluator(n, seed, power_dbm)[2]
     for local in range(table.size):
-        sub = coalitions.from_members(m for i, m in enumerate(members) if local >> i & 1)
+        sub = from_members(m for i, m in enumerate(members) if local >> i & 1)
         assert table[local] == v(sub) == fresh(sub)
     assert table[0] == 0.0
 
@@ -143,6 +145,81 @@ def test_capacity_is_checked_before_any_table():
         shapley_value(v, (1 << 40) - 1, 0)
     with pytest.raises(CapacityError):
         payoff_reports(v, (1 << 30) - 1, 30)
+
+
+def _assert_outsiders_match_their_coalitions(v, mask, n_antennas):
+    """Every outsider's batched (payoff, leave score) and row v(T + n) equal
+    those of its own coalition's table, bit for bit (repr: NaN and -0.0)."""
+    table = _subset_table(v, mask)
+    outsiders = [n for n in range(n_antennas) if not mask >> n & 1]
+    rows = _chunk_rows(mask.bit_count())
+    for start in range(0, len(outsiders), rows):
+        chunk = outsiders[start:start + rows]
+        payoffs, leave, joined = _outsider_scores(v, mask, table, chunk)
+        assert joined.shape == (len(chunk), table.size)
+        for j, n in enumerate(chunk):
+            coalition = mask | 1 << n
+            i = (mask & ((1 << n) - 1)).bit_count()
+            want_payoffs, want_leave = _coalition_scores(v, coalition)
+            assert repr((payoffs.item(j), leave.item(j))) == repr((want_payoffs[i], want_leave[i]))
+            full = _subset_table(v, coalition)
+            assert repr(joined[j].tolist()) == repr(full.reshape(-1, 2, 1 << i)[:, 1].ravel().tolist())
+            # the tables a flip hands on: coalition + n, and back to mask
+            assert repr(_with_member(table, joined[j], i).tolist()) == repr(full.tolist())
+            assert repr(_without_member(full, i).tolist()) == repr(table.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 17), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 30.0),
+       st.integers(1, 2 ** 17 - 1))
+@example(n=17, seed=3, power_dbm=0.0, bits=0b1_1111_1110_1111_1101)     # |S| = 14
+@example(n=16, seed=8, power_dbm=30.0, bits=0b0111_1111_1111_1101)      # |S| = 13
+@example(n=15, seed=2, power_dbm=20.0, bits=0b010_1111_1111_1111)       # |S| = 12, 2 rows
+def test_outsider_scores_equal_their_coalitions_on_drops(n, seed, power_dbm, bits):
+    mask = bits & ((1 << n) - 1)
+    assume(mask and mask != (1 << n) - 1)
+    _assert_outsiders_match_their_coalitions(_evaluator(n, seed, power_dbm)[2], mask, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, float("nan")]),
+             min_size=1 << n, max_size=1 << n),
+    st.integers(1, (1 << n) - 1))))
+def test_outsider_scores_equal_their_coalitions_on_tied_tables(case):
+    # plain callables take the scalar fallback; ties and NaN must carry over
+    values, mask = case
+    n = len(values).bit_length() - 1
+    assume(mask != (1 << n) - 1)
+    _assert_outsiders_match_their_coalitions(values.__getitem__, mask, n)
+
+
+class _Untouchable:
+    """A value function that fails if any value or table is asked for."""
+
+    def __call__(self, mask):
+        raise AssertionError("v must not be called past the cap")
+
+    def subset_values(self, mask, joining=None):
+        raise AssertionError("no table may be built past the cap")
+
+
+@pytest.mark.parametrize("v", [_Untouchable(), _Untouchable().__call__])
+def test_an_outsider_past_the_cap_is_refused_before_any_table(v):
+    # the coalition itself is within the cap; joining it would not be
+    full = (1 << ENUMERATION_CAP) - 1
+    with pytest.raises(CapacityError):
+        _payoff_rule(v, ENUMERATION_CAP + 2)(full, ENUMERATION_CAP + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_table_rule_matches_the_scalar_oracle_past_one_chunk(seed):
+    # at N = 40 and 0 dBm these drops grow coalitions of 15, where each
+    # outsider is scored in a chunk of its own
+    layout, drop, v = _evaluator(40, seed, 0.0)
+    mask, trace = run_activation(v, layout, drop.bob)
+    assert max(s.coalition.bit_count() for s in trace.steps) > 13
+    _same_scan(v, layout, drop.bob, 100)
 
 
 def test_scan_matches_one_candidate_check_per_step():
@@ -218,7 +295,7 @@ def test_values_do_not_depend_on_antenna_labels(n, seed, power_dbm, data):
     relabelled = SecrecyEvaluator(hb[order], he[order], budget)
     for _ in range(8):
         mask = data.draw(st.integers(1, (1 << n) - 1))
-        moved = coalitions.from_members(i for i in range(n) if mask >> order[i] & 1)
+        moved = from_members(i for i in range(n) if mask >> order[i] & 1)
         rb, re = v.link_rates(mask)
         moved_rb, moved_re = relabelled.link_rates(moved)
         assert moved_rb == pytest.approx(rb, rel=1e-12)
