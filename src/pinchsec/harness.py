@@ -388,8 +388,9 @@ def run_convergence_study(config: ExperimentConfig) -> StudyResult:
     """Game trajectories plus the per-trial optimum comparison.
 
     Each trial runs the two activation games, then the optimum reference
-    (brute-force up to 24 antennas, annealing beyond, with a warning),
-    and scores every row against the reference's.
+    (brute-force up to METHODS["brute-force"].max_antennas antennas,
+    annealing beyond, with a warning), and scores every row against the
+    reference's.
     """
     limit = METHODS["brute-force"].max_antennas
     if config.n_antennas > limit:

@@ -102,9 +102,13 @@ class SecrecyEvaluator:
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         hb = he = 0j
-        for n in coalitions.members(mask):
-            hb += self._hb[n]
-            he += self._he[n]
+        bob, eve = self._hb, self._he
+        while mask:
+            low = mask & -mask
+            n = low.bit_length() - 1
+            hb += bob[n]
+            he += eve[n]
+            mask ^= low
         return hb, he
 
     def link_rates(self, mask: int) -> tuple[float, float]:

@@ -13,6 +13,7 @@ from pinchsec import (
     LinkBudget,
     Scenario,
     SecrecyEvaluator,
+    baselines,
     brute_force_secrecy_optimum,
     channel_vector,
     coalition_value_activation,
@@ -22,7 +23,13 @@ from pinchsec import (
     uniform_layout,
     wavelengths,
 )
-from pinchsec.baselines import _WALK_CHUNK, ula_secrecy_rate
+from pinchsec.baselines import (
+    _WALK_CHUNK,
+    _frozen_steps,
+    _surely_rejected,
+    _temperatures,
+    ula_secrecy_rate,
+)
 from pinchsec.geometry import Drop
 from pinchsec.secrecy import _BLOCK_BITS
 from helpers import brute_force_optimum, loop_annealing, one_shot_table
@@ -401,6 +408,200 @@ def test_annealing_at_zero_temperature():
     assert result == loop_annealing(v, 6, AnnealingSchedule(5e-324, 3000), seed=2,
                                     best_trace=oracle_trace)
     assert trace == oracle_trace
+
+
+def _scalar_rule_accepts(dv, temperature, u):
+    """The walk's scalar acceptance rule for one nonempty proposal."""
+    if dv >= 0.0:
+        return True
+    if temperature > 0.0:
+        x = dv / temperature
+        return u < math.exp(-745.0 if x < -745.0 else x)
+    return False
+
+
+_NUMPY_EXP = np.exp
+
+
+def _low_exp(x, out=None):
+    """np.exp read 4 ulps low, as another SIMD dispatch might round it."""
+    low = _NUMPY_EXP(x)
+    for _ in range(4):
+        low = np.nextafter(low, 0.0)
+    if out is None:
+        return low
+    out[...] = low
+    return out
+
+
+def _assert_filter_is_conservative(dv, temperature, u):
+    dv, temperature, u = (np.asarray(a, dtype=np.float64) for a in (dv, temperature, u))
+    for exp in (_NUMPY_EXP, _low_exp):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "exp", exp)
+            rejected = _surely_rejected(dv, temperature, u)
+        for d, t, draw, r in zip(dv.tolist(), temperature.tolist(), u.tolist(), rejected.tolist()):
+            assert not (r and _scalar_rule_accepts(d, t, draw)), (d, t, draw, exp)
+
+
+_SCALAR_ACCEPTS_AT_THE_EDGE = [
+    # (dv, T, u): the scalar rule accepts, so the filter must not skip
+    (-1.0, 1.0, 0.0),                                   # a draw of 0.0
+    (-1e6, 1e-6, 0.0),                                  # exponent far below -745
+    (-745.0, 1.0, 0.0),                                 # exponent at -745
+    (-math.inf, 1.0, 0.0),
+    (-1.0, 5e-324, 0.0),                                # T at the smallest double
+    (-1.0, 1.0, math.nextafter(math.exp(-1.0), 0.0)),   # a draw just under exp
+    (-700.0, 1.0, math.nextafter(math.exp(-700.0), 0.0)),
+    (-0.5, 1e-3, math.nextafter(math.exp(-500.0), 0.0)),
+    (0.0, 1.0, 1.0 - 2.0 ** -53),                       # dv = 0 always moves
+    (-0.0, 1.0, 1.0 - 2.0 ** -53),
+    (0.0, 0.0, 1.0 - 2.0 ** -53),                       # dv = 0 at T = 0
+    (math.inf, 1.0, 0.5),
+    (1.0, 0.0, 0.5),
+]
+
+_SCALAR_REJECTS = [
+    # (dv, T, u): the scalar rule rejects, and the filter skips the step
+    (-1.0, 1.0, 0.5),
+    (-745.0, 1.0, 2.0 ** -53),                          # exponent at -745
+    (-746.0, 1.0, 2.0 ** -53),                          # and below it
+    (-1e6, 1e-6, 0.5),
+    (-math.inf, 1.0, 2.0 ** -53),
+    (-1.0, 0.0, 2.0 ** -53),                            # T = 0
+    (-1.0, 0.0, 0.5),
+    (-1.0, 5e-324, 2.0 ** -53),                         # T = 5e-324
+    (-1e-300, 5e-324, 0.5),
+]
+
+
+def test_filter_skips_only_steps_the_scalar_rule_rejects():
+    dv, temperature, u = zip(*_SCALAR_ACCEPTS_AT_THE_EDGE)
+    assert all(map(_scalar_rule_accepts, dv, temperature, u))
+    _assert_filter_is_conservative(dv, temperature, u)
+    assert not _surely_rejected(np.array(dv), np.array(temperature), np.array(u)).any()
+
+    dv, temperature, u = zip(*_SCALAR_REJECTS)
+    assert not any(map(_scalar_rule_accepts, dv, temperature, u))
+    assert _surely_rejected(np.array(dv), np.array(temperature), np.array(u)).all()
+
+
+def test_filter_leaves_nan_to_the_scalar_rule():
+    # a NaN exponent rejects in the scalar rule; the filter passes it on
+    dv = np.full(3, math.nan)
+    temperature = np.array([1.0, 0.0, 5e-324])
+    u = np.full(3, 0.5)
+    assert not _surely_rejected(dv, temperature, u).any()
+    assert not any(map(_scalar_rule_accepts, dv.tolist(), temperature.tolist(), u.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(-2000.0, 0.0) | st.sampled_from([0.0, -0.0, -745.0, -700.0]),
+    st.floats(0.0, 10.0) | st.sampled_from([0.0, 5e-324, 1e-300, 1e-3]),
+    st.floats(0.0, 1.0, exclude_max=True)
+    | st.integers(0, 2 ** 53 - 1).map(lambda k: k * 2.0 ** -53)),
+    min_size=1, max_size=40))
+def test_filter_is_conservative_property(cases):
+    dv, temperature, u = zip(*cases)
+    _assert_filter_is_conservative(dv, temperature, u)
+    # and the same draw set just under the scalar rule's bound
+    edge = [math.nextafter(math.exp(max(d / t, -745.0)), 0.0) if d < 0.0 and t > 0.0 else 0.0
+            for d, t in zip(dv, temperature)]
+    _assert_filter_is_conservative(dv, temperature, edge)
+
+
+def test_frozen_steps_skip_the_empty_flip_of_a_singleton():
+    # from state 0b100 flipping antenna 2 empties the coalition; its dv
+    # entry is never read, so NaN there must not stop the scan
+    dv = np.array([-5.0, -5.0, math.nan])
+    flips = np.array([2, 0, 2, 1, 2, 0])
+    temperatures = np.full(6, 1e-3)
+    uniforms = np.full(6, 0.5)
+    assert _frozen_steps(0b100, dv, flips, temperatures, uniforms) == 6
+    # from 0b101 the flip of antenna 2 is a move, and NaN leaves it to
+    # the scalar rule
+    assert _frozen_steps(0b101, dv, flips, temperatures, uniforms) == 0
+    uniforms[3] = 0.0          # a draw the scalar rule accepts
+    assert _frozen_steps(0b100, dv, flips, temperatures, uniforms) == 3
+
+
+def test_annealing_from_a_lone_antenna_skips_empty_flips():
+    # one antenna: every proposal empties the coalition
+    trace, oracle_trace = [], []
+    v = lambda mask: 1.0
+    schedule = AnnealingSchedule(1.0, 2 * _WALK_CHUNK + 1)
+    assert (simulated_annealing(v, 1, schedule, seed=3, best_trace=trace)
+            == loop_annealing(v, 1, schedule, seed=3, best_trace=oracle_trace))
+    assert trace == oracle_trace
+
+
+def _repeated_product(temperature, factor, count):
+    out = []
+    for _ in range(count):
+        out.append(temperature)
+        temperature *= factor
+    return out
+
+
+@pytest.mark.parametrize("count", [_WALK_CHUNK - 1, _WALK_CHUNK, _WALK_CHUNK + 1])
+@pytest.mark.parametrize("temperature, factor", [
+    (1.0, AnnealingSchedule(1.0, 10 ** 6).cooling_factor),
+    (1.0, AnnealingSchedule(1.0, 10 ** 5).cooling_factor),
+    (3.7, 0.999),
+    (1.0, 1e-200),            # underflows to 0 from the third entry
+    (5e-324, 0.5),            # underflows to 0 from the second
+])
+def test_chunk_temperatures_equal_the_repeated_product(count, temperature, factor):
+    expected = _repeated_product(temperature, factor, count)
+    assert _temperatures(temperature, factor, count).tolist() == expected
+    # chunk by chunk, each chunk starting from the last one's final
+    # temperature times the factor, as the walk runs them
+    chunked = []
+    for first in range(0, count, _WALK_CHUNK):
+        chunk = _temperatures(temperature, factor, min(_WALK_CHUNK, count - first))
+        chunked.extend(chunk.tolist())
+        temperature = float(chunk[-1]) * factor
+    assert chunked == expected
+    if factor < 1e-100:
+        assert expected[-1] == 0.0
+
+
+def test_annealing_on_a_frozen_drop_is_the_oracle_walk_and_mostly_scanned():
+    *_, v = _drop_evaluator(seed=1, n=28, power_dbm=20.0)
+    schedule = AnnealingSchedule(1.0, 20_000)
+    scanned = []
+
+    def counting(*args):
+        skipped = _frozen_steps(*args)
+        scanned.append(skipped)
+        return skipped
+
+    trace, oracle_trace = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_frozen_steps", counting)
+        result = simulated_annealing(v, 28, schedule, seed=1, best_trace=trace)
+    assert result == loop_annealing(v, 28, schedule, seed=1, best_trace=oracle_trace)
+    assert trace == oracle_trace
+    # the numpy scan, not the scalar loop, took most of the steps
+    assert sum(scanned) > 0.8 * schedule.steps
+
+
+def test_annealing_buffers_are_bounded_by_the_chunk():
+    # a walk that freezes at once: the only value change is -1 per active
+    # antenna, so it settles on a lone antenna and scans every chunk.  The
+    # up-front draws take 16 B a step; anything else of length steps
+    # would add at least 8 B a step more.
+    steps = 200_000
+    v = lambda mask: -float(mask.bit_count())
+    tracemalloc.start()
+    try:
+        simulated_annealing(v, 16, AnnealingSchedule(1e-3, steps), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * steps + 4 * steps
 
 
 def test_annealing_never_beats_the_exhaustive_optimum():
