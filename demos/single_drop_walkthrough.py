@@ -48,11 +48,10 @@ def main():
     print()
     print(f"payoff-driven scan, {trace.cycles_used} cycles"
           f" ({'converged' if trace.converged else 'cycle cap hit'}):")
-    for step in trace.steps:
-        if step.action != "none":
-            print(f"  cycle {step.cycle}: antenna {step.antenna} {step.action}s, "
-                  f"coalition {sorted(coalitions.members(step.coalition))}, "
-                  f"secrecy {step.value:+.4f}")
+    for flip in trace.flips:
+        print(f"  cycle {flip.cycle}: antenna {flip.antenna} {flip.action}s, "
+              f"coalition {sorted(coalitions.members(flip.coalition))}, "
+              f"secrecy {flip.value:+.4f}")
     print(f"  stable coalition {sorted(coalitions.members(mask))}: secrecy {v(mask):+.4f}")
 
     print()

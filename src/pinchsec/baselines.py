@@ -17,19 +17,22 @@
   flips when the flip strictly raises the coalition value, instead of on
   payoff comparisons;
 * a conventional half-wavelength array at the region centre, all elements
-  always active.
+  always active.  Its element positions are cached per (scenario, N), and
+  its one rate per link comes straight from the coefficient sum through
+  the kernel's arithmetic, with no evaluator or memo: 51 -> 33 us per drop
+  at 20 elements (best of 5 timed passes over 200 drops on a 2-core host).
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import wavelengths
-from .coalitions import full_mask
 from .game import DEFAULT_MAX_CYCLES, GameTrace, ValueFunction, _scan
 from .geometry import AntennaLayout, Drop, Scenario
-from .secrecy import LinkBudget, SecrecyEvaluator, secrecy_from_snr
+from .secrecy import LinkBudget, SecrecyEvaluator, link_rate, secrecy_from_snr
 
 # annealing draws its start as one unsigned 64-bit mask
 ANNEALING_MAX_ANTENNAS = 64
@@ -302,30 +305,50 @@ def coalition_value_activation(v: ValueFunction, layout: AntennaLayout, bob_posi
     return _scan(v, layout, bob_position, flips, max_cycles)
 
 
+@lru_cache(maxsize=None)
+def _ula_positions(scenario: Scenario, n_antennas: int) -> np.ndarray:
+    """(x, y, z) of each element of the fixed array, one row per element.
+
+    Cached per (scenario, n), as geometry.uniform_layout is.
+    """
+    wl = wavelengths(scenario)
+    centre = scenario.region_x / 2.0
+    span = (n_antennas - 1) * wl.free_space / 2.0
+    xs = centre - span / 2.0 + np.arange(n_antennas) * (wl.free_space / 2.0)
+    pos = np.column_stack([xs, np.zeros(n_antennas),
+                           np.full(n_antennas, scenario.waveguide_height)])
+    pos.flags.writeable = False
+    return pos
+
+
 def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
                      budget: LinkBudget) -> tuple[float, float, float]:
     """Conventional fixed array: N elements at half-wavelength spacing.
 
     The array sits at the centre of the service region at the same height
     as the waveguide, radiating all elements with equal power split and no
-    feed-line phase accumulation.  Its rates come from a SecrecyEvaluator
-    over the array's coefficients, all elements active.  Returns (user
-    rate, eavesdropper rate, secrecy rate).
+    feed-line phase accumulation.  Each link's rate is the kernel's
+    arithmetic on the full mask, as SecrecyEvaluator.link_rates gives it:
+    the coefficients added in index order, then secrecy.link_rate at
+    rho = P_t / (N * sigma^2).  Non-finite coefficients raise ValueError,
+    as the evaluator's do.  Returns (user rate, eavesdropper rate, secrecy
+    rate).
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
+    pos = _ula_positions(scenario, n_antennas)
     wl = wavelengths(scenario)
-    centre = scenario.region_x / 2.0
-    span = (n_antennas - 1) * wl.free_space / 2.0
-    xs = centre - span / 2.0 + np.arange(n_antennas) * (wl.free_space / 2.0)
-    pos = np.column_stack([xs, np.zeros(n_antennas), np.full(n_antennas, scenario.waveguide_height)])
-
-    def coeffs(receiver):
-        r = np.asarray(receiver, dtype=np.float64)
-        d = np.linalg.norm(pos - r, axis=1)
+    rho = budget.transmit_power_w / (n_antennas * budget.noise_power_w)
+    rates = []
+    for receiver in (drop.bob, drop.eve):
+        d = np.linalg.norm(pos - np.asarray(receiver, dtype=np.float64), axis=1)
         phase = np.mod(2.0 * np.pi * d / wl.free_space, 2.0 * np.pi)
-        return (wl.amplitude_factor / d) * np.exp(-1j * phase)
-
-    evaluator = SecrecyEvaluator(coeffs(drop.bob), coeffs(drop.eve), budget)
-    rb, re = evaluator.link_rates(full_mask(n_antennas))
+        coeffs = (wl.amplitude_factor / d) * np.exp(-1j * phase)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("channel coefficients must be finite")
+        h = 0j
+        for c in coeffs.tolist():
+            h += c
+        rates.append(link_rate(h, rho))
+    rb, re = rates
     return rb, re, rb - re

@@ -80,12 +80,11 @@ def _cmd_single_drop(args) -> int:
     game = METHODS["shapley"].run(trial)
     trace = game.trace
     print(f"payoff-driven activation ({'converged' if trace.converged else 'cycle cap hit'}, "
-          f"{trace.cycles_used} cycles, {len(trace.steps)} antenna examinations):")
-    for step in trace.steps:
-        if step.action != "none":
-            print(f"  cycle {step.cycle}: antenna {step.antenna} {step.action:5s} "
-                  f"-> {{{', '.join(str(m) for m in coalitions.members(step.coalition))}}}"
-                  f"  v={step.value:.6f}")
+          f"{trace.cycles_used} cycles, {trace.cycles_used * n} antenna examinations):")
+    for flip in trace.flips:
+        print(f"  cycle {flip.cycle}: antenna {flip.antenna} {flip.action:5s} "
+              f"-> {{{', '.join(str(m) for m in coalitions.members(flip.coalition))}}}"
+              f"  v={flip.value:.6f}")
     print(f"  final coalition {sorted(coalitions.members(game.mask))}: "
           f"secrecy {game.secrecy_rate:.6f}  (bob {game.bob_rate:.6f}, eve {game.eve_rate:.6f})")
     print("  payoffs at the final coalition:")

@@ -20,7 +20,10 @@ strictly beats the latter, the value kept by staying out.  The loop
 stops after a full scan with no moves, at which point no antenna can
 improve its payoff by unilaterally joining or leaving (Nash stability),
 or after a cycle cap.  The value-driven baseline runs the same scan with
-its own rule.
+its own rule.  A scan's GameTrace keeps its start and its flips, each with
+the mask it left and that mask's value, and looks up v for nothing else;
+steps and to_rows() expand the flips to one entry per examined antenna,
+cycles_used x N in all, as trace.csv lists them.
 
 The rule scores each mask S it meets from table(S), built once, and
 keeps each mask's moves for the whole scan.  Every member's scores come
@@ -44,7 +47,7 @@ outsider of 24 members is refused before any buffer.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -297,27 +300,69 @@ class TraceStep:
     value: float          # v(coalition) after the action
 
 
+class Flip(NamedTuple):
+    """One move of a scan: the antenna that flipped and what it left."""
+
+    cycle: int
+    antenna: int
+    coalition: int        # mask after the flip
+    value: float          # v(coalition)
+
+    @property
+    def action(self) -> str:
+        return "merge" if self.coalition >> self.antenna & 1 else "split"
+
+
 @dataclass
 class GameTrace:
-    """Per-examined-antenna record of one activation run."""
+    """Record of one activation scan: its start, its flips and its cycles.
 
-    steps: list[TraceStep]
+    A scan examines all n_antennas antennas in index order every cycle, so
+    it examines cycles_used * n_antennas in all, but only the flips are
+    kept.  steps and to_rows() expand them back to one entry per examined
+    antenna, in which an antenna that did not flip leaves the mask and
+    value as they were.
+    """
+
+    n_antennas: int
+    start: int            # the mask the scan started from
+    start_value: float    # v(start)
+    flips: list[Flip]
     converged: bool
     cycles_used: int
+
+    def _expanded(self):
+        """(cycle, antenna, action, mask, value) per examined antenna."""
+        mask, value = self.start, self.start_value
+        flips = iter(self.flips)
+        flip = next(flips, None)
+        for cycle in range(1, self.cycles_used + 1):
+            for n in range(self.n_antennas):
+                if flip is not None and flip.cycle == cycle and flip.antenna == n:
+                    mask, value = flip.coalition, flip.value
+                    yield cycle, n, flip.action, mask, value
+                    flip = next(flips, None)
+                else:
+                    yield cycle, n, "none", mask, value
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        """One step per examined antenna, in scan order."""
+        return [TraceStep(*step) for step in self._expanded()]
 
     def to_rows(self) -> list[dict]:
         """Flat dict rows (one per examined antenna) in trace.csv column order."""
         return [
             {
-                "cycle": s.cycle,
-                "step": i + 1,
-                "antenna": s.antenna,
-                "action": s.action,
-                "coalition_mask": s.coalition,
-                "coalition_size": s.coalition.bit_count(),
-                "value": s.value,
+                "cycle": cycle,
+                "step": i,
+                "antenna": n,
+                "action": action,
+                "coalition_mask": mask,
+                "coalition_size": mask.bit_count(),
+                "value": value,
             }
-            for i, s in enumerate(self.steps)
+            for i, (cycle, n, action, mask, value) in enumerate(self._expanded(), 1)
         ]
 
 
@@ -365,49 +410,33 @@ def _scan(v: ValueFunction, layout: AntennaLayout, bob_position,
 
     Starts from the antenna closest to the user and flips antenna n in or
     out whenever flips(mask, n), scanning in index order until a cycle with
-    no flip or the cycle cap.
+    no flip or the cycle cap.  Looks up v only at the start and after each
+    flip, for the trace.
     """
     mask = 1 << closest_antenna(layout, bob_position)
-    steps: list[TraceStep] = []
-    converged = False
-    cycles = 0
+    trace = GameTrace(layout.n_antennas, mask, v(mask), [], False, 0)
+    moves = trace.flips
     for cycle in range(1, max_cycles + 1):
-        cycles = cycle
-        changed = False
+        trace.cycles_used = cycle
+        before = len(moves)
         for n in range(layout.n_antennas):
-            action = "none"
             if flips(mask, n):
                 mask ^= 1 << n
-                action = "merge" if mask >> n & 1 else "split"
-                changed = True
-            steps.append(TraceStep(cycle, n, action, mask, v(mask)))
-        if not changed:
-            converged = True
+                moves.append(Flip(cycle, n, mask, v(mask)))
+        if len(moves) == before:
+            trace.converged = True
             break
-    return mask, GameTrace(steps=steps, converged=converged, cycles_used=cycles)
+    return mask, trace
 
 
 def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
                    max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[int, GameTrace]:
     """Payoff-driven activation starting from the antenna closest to the user.
 
-    Returns the final coalition mask and the full trace.  A converged trace
+    Returns the final coalition mask and the scan's trace.  A converged trace
     means a complete scan produced no move; cap exhaustion is reported via
     trace.converged = False rather than an error.  Each cycle scans the
     antennas in ascending index order.
     """
     return _scan(v, layout, bob_position, _payoff_rule(v, layout.n_antennas), max_cycles)
 
-
-def is_nash_stable(v: ValueFunction, coalition: int, n_antennas: int) -> bool:
-    """True if no single antenna gains by unilaterally joining or leaving.
-
-    Outsiders must not prefer joining; members must not prefer leaving.
-    The sole member of a singleton has no legal leave move, so the member
-    condition is vacuous there.
-    """
-    if coalition == 0:
-        raise ValueError("coalition must be nonempty")
-    coalitions.validate(coalition, n_antennas)
-    flips = _payoff_rule(v, n_antennas)
-    return not any(flips(coalition, n) for n in range(n_antennas))

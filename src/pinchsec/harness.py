@@ -206,13 +206,13 @@ def _initial_single_antenna(trial: Trial) -> Outcome:
 def _shapley(trial: Trial) -> Outcome:
     mask, trace = run_activation(trial.evaluator, trial.layout, trial.drop.bob,
                                  max_cycles=trial.config.max_cycles)
-    return _scored(trial, mask, len(trace.steps), trace)
+    return _scored(trial, mask, trace.cycles_used * trace.n_antennas, trace)
 
 
 def _coalition_value(trial: Trial) -> Outcome:
     mask, trace = coalition_value_activation(trial.evaluator, trial.layout, trial.drop.bob,
                                              max_cycles=trial.config.max_cycles)
-    return _scored(trial, mask, len(trace.steps), trace)
+    return _scored(trial, mask, trace.cycles_used * trace.n_antennas, trace)
 
 
 def _brute_force(trial: Trial) -> Outcome:

@@ -117,11 +117,7 @@ class SecrecyEvaluator:
             raise ValueError("at least one antenna must be active")
         hb, he = self.channel_sums(mask)
         rho = self._rho.item(mask.bit_count())
-        # the kernel's arithmetic on one mask: numpy's log1p gives a Python
-        # float the same bits as an array entry
-        rb = float(np.log1p((hb.real * hb.real + hb.imag * hb.imag) * rho)) * _INV_LN2
-        re = float(np.log1p((he.real * he.real + he.imag * he.imag) * rho)) * _INV_LN2
-        return rb, re
+        return link_rate(hb, rho), link_rate(he, rho)
 
     def _subset_sums(self, rows, out=None, joining=None) -> np.ndarray:
         """Coefficient sums of every subset of the given antennas, as four
@@ -276,3 +272,10 @@ def secrecy_from_snr(snr, out=None) -> np.ndarray:
     np.log1p(snr, out=snr)
     snr *= _INV_LN2
     return np.subtract(snr[0], snr[1], out=out)
+
+
+def link_rate(h: complex, rho: float) -> float:
+    """One link's rate log2(1 + rho * |h|^2) from its coefficient sum h: the
+    kernel's arithmetic on one entry, where numpy's log1p gives a Python
+    float the same bits as an array entry."""
+    return float(np.log1p((h.real * h.real + h.imag * h.imag) * rho)) * _INV_LN2

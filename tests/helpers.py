@@ -2,7 +2,10 @@
 
 The scalar channel, rate, exhaustive-search and move-rule paths here are
 references for the package's vectorized ones: one antenna, one mask or
-one coalition at a time, in plain Python arithmetic.
+one coalition at a time, in plain Python arithmetic.  The stepwise scan
+and the evaluator-built fixed array are the routes the package's scan
+trace and fixed array replaced; the Nash stability check serves only the
+tests.
 """
 
 import cmath
@@ -11,9 +14,10 @@ import math
 
 import numpy as np
 
-from pinchsec import coalitions, wavelengths
+from pinchsec import SecrecyEvaluator, coalitions, wavelengths
 from pinchsec.coalitions import ENUMERATION_CAP
-from pinchsec.game import CapacityError, _subset_weights, shapley_value
+from pinchsec.game import (CapacityError, TraceStep, _payoff_rule, _subset_weights,
+                           closest_antenna, shapley_value)
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,6 +208,100 @@ def scalar_rule(v):
             return mask != bit and v(mask ^ bit) - v(mask) > shapley_value(v, mask, n)
         return shapley_value(v, mask | bit, n) > v(mask) - v(mask | bit)
     return flips
+
+
+def value_rule(v):
+    """The value-driven scan's move rule: flip n when the flip strictly
+    raises v and leaves the coalition nonempty (oracle)."""
+    def flips(mask, n):
+        proposal = mask ^ (1 << n)
+        return proposal != 0 and v(proposal) > v(mask)
+    return flips
+
+
+def stepwise_scan(v, layout, bob_position, flips, max_cycles):
+    """The activation scan with one step and one v lookup per examined antenna (oracle).
+
+    Reference for the package's scan, which keeps only the flips: starts
+    from the antenna closest to the user and flips antenna n whenever
+    flips(mask, n), in index order, until a cycle with no flip or the cycle
+    cap.  Returns (final mask, steps, converged, cycles used).
+    """
+    mask = 1 << closest_antenna(layout, bob_position)
+    steps = []
+    converged = False
+    cycles = 0
+    for cycle in range(1, max_cycles + 1):
+        cycles = cycle
+        changed = False
+        for n in range(layout.n_antennas):
+            action = "none"
+            if flips(mask, n):
+                mask ^= 1 << n
+                action = "merge" if mask >> n & 1 else "split"
+                changed = True
+            steps.append(TraceStep(cycle, n, action, mask, v(mask)))
+        if not changed:
+            converged = True
+            break
+    return mask, steps, converged, cycles
+
+
+def step_rows(steps) -> list[dict]:
+    """trace.csv rows of stepwise_scan's steps, one per examined antenna (oracle)."""
+    return [
+        {
+            "cycle": s.cycle,
+            "step": i + 1,
+            "antenna": s.antenna,
+            "action": s.action,
+            "coalition_mask": s.coalition,
+            "coalition_size": s.coalition.bit_count(),
+            "value": s.value,
+        }
+        for i, s in enumerate(steps)
+    ]
+
+
+def is_nash_stable(v, coalition: int, n_antennas: int) -> bool:
+    """True if no single antenna gains by unilaterally joining or leaving.
+
+    Outsiders must not prefer joining; members must not prefer leaving.
+    The sole member of a singleton has no legal leave move, so the member
+    condition is vacuous there.
+    """
+    if coalition == 0:
+        raise ValueError("coalition must be nonempty")
+    coalitions.validate(coalition, n_antennas)
+    flips = _payoff_rule(v, n_antennas)
+    return not any(flips(coalition, n) for n in range(n_antennas))
+
+
+def evaluator_ula_secrecy_rate(scenario, drop, n_antennas: int, budget) -> tuple[float, float, float]:
+    """The fixed array's rates through a SecrecyEvaluator over its coefficients (oracle).
+
+    Reference for the package's direct route: builds the element positions
+    afresh, scores the full mask with the evaluator's link_rates and
+    inherits its checks.  Returns (user rate, eavesdropper rate, secrecy
+    rate).
+    """
+    if n_antennas < 1:
+        raise ValueError("need at least one antenna")
+    wl = wavelengths(scenario)
+    centre = scenario.region_x / 2.0
+    span = (n_antennas - 1) * wl.free_space / 2.0
+    xs = centre - span / 2.0 + np.arange(n_antennas) * (wl.free_space / 2.0)
+    pos = np.column_stack([xs, np.zeros(n_antennas), np.full(n_antennas, scenario.waveguide_height)])
+
+    def coeffs(receiver):
+        r = np.asarray(receiver, dtype=np.float64)
+        d = np.linalg.norm(pos - r, axis=1)
+        phase = np.mod(2.0 * np.pi * d / wl.free_space, 2.0 * np.pi)
+        return (wl.amplitude_factor / d) * np.exp(-1j * phase)
+
+    evaluator = SecrecyEvaluator(coeffs(drop.bob), coeffs(drop.eve), budget)
+    rb, re = evaluator.link_rates(coalitions.full_mask(n_antennas))
+    return rb, re, rb - re
 
 
 def permutation_payoff(table, members, member):

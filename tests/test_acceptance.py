@@ -35,11 +35,11 @@ from pinchsec import (
     wavelengths,
     write_outputs,
 )
-from pinchsec.game import is_nash_stable
 from pinchsec.harness import drop_seed, method_seed
 from helpers import (
     channel_coefficient,
     from_members,
+    is_nash_stable,
     mean_secrecy,
     paired_differences,
     permutation_payoff,

@@ -28,11 +28,13 @@ from pinchsec.baselines import (
     _frozen_steps,
     _surely_rejected,
     _temperatures,
+    _ula_positions,
     ula_secrecy_rate,
 )
 from pinchsec.geometry import Drop
 from pinchsec.secrecy import _BLOCK_BITS
-from helpers import brute_force_optimum, loop_annealing, one_shot_table
+from helpers import (brute_force_optimum, evaluator_ula_secrecy_rate, loop_annealing,
+                     one_shot_table)
 
 
 def _drop_evaluator(seed=1, n=8, power_dbm=10.0):
@@ -694,3 +696,49 @@ def test_ula_elements_straddle_the_centre():
     a = ula_secrecy_rate(s, Drop(bob=(1.0, 1.0, 0.0), eve=(5.0, -2.0, 0.0)), 16, budget)
     b = ula_secrecy_rate(s, Drop(bob=(9.0, 1.0, 0.0), eve=(5.0, -2.0, 0.0)), 16, budget)
     assert a == pytest.approx(b, rel=1e-9)  # eve centred, bob mirrored: symmetric
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1), st.floats(-10.0, 40.0), st.booleans())
+def test_ula_rates_equal_the_evaluator_route_exactly(n, seed, power_dbm, one_sided):
+    s = Scenario(one_sided_region=one_sided)
+    drop = sample_drop(s, np.random.default_rng(seed))
+    budget = LinkBudget.from_scenario(s, power_dbm)
+    # repr tells -0.0 from 0.0
+    assert repr(ula_secrecy_rate(s, drop, n, budget)) == \
+        repr(evaluator_ula_secrecy_rate(s, drop, n, budget))
+
+
+def test_ula_positions_are_built_once_per_scenario_and_count():
+    s = Scenario(region_x=9.5)
+    budget = LinkBudget.from_scenario(s, 10.0)
+    drop = Drop(bob=(2.0, 1.0, 0.0), eve=(7.0, -2.0, 0.0))
+    before = _ula_positions.cache_info()
+    ula_secrecy_rate(s, drop, 7, budget)
+    ula_secrecy_rate(Scenario(region_x=9.5), drop, 7, budget)
+    after = _ula_positions.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    positions = _ula_positions(s, 7)
+    assert _ula_positions(Scenario(region_x=9.5), 7) is positions
+    assert _ula_positions(Scenario(region_x=8.0), 7) is not positions
+    assert not positions.flags.writeable
+    # centred on the region, half a wavelength apart, at the waveguide's height
+    assert positions[:, 0].mean() == pytest.approx(4.75, rel=1e-12)
+    assert np.diff(positions[:, 0]) == pytest.approx(wavelengths(s).free_space / 2.0, rel=1e-9)
+    assert (positions[:, 2] == s.waveguide_height).all()
+
+
+@pytest.mark.parametrize("receiver", [(math.nan, 1.0, 0.0), (5.0, 0.0, 3.0), (math.inf, 1.0, 0.0)])
+@pytest.mark.parametrize("which", ["bob", "eve"])
+def test_ula_non_finite_coefficients_raise(receiver, which):
+    # a NaN position, a receiver on the lone element (zero distance) and one
+    # infinitely far away all give non-finite coefficients, which both
+    # routes refuse
+    s = Scenario()
+    budget = LinkBudget.from_scenario(s, 10.0)
+    users = {"bob": (2.0, 1.0, 0.0), "eve": (7.0, -2.0, 0.0), which: receiver}
+    drop = Drop(**users)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for route in (ula_secrecy_rate, evaluator_ula_secrecy_rate):
+            with pytest.raises(ValueError, match="finite"):
+                route(s, drop, 1, budget)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsec import (
     AntennaLayout,
     CapacityError,
+    ExperimentConfig,
     LinkBudget,
     Scenario,
     SecrecyEvaluator,
     channel_vector,
+    coalition_value_activation,
     payoff_reports,
     run_activation,
     sample_drop,
@@ -15,8 +19,10 @@ from pinchsec import (
     uniform_layout,
 )
 from pinchsec import game
-from pinchsec.game import closest_antenna, is_nash_stable
-from helpers import from_members, permutation_payoff, random_value_table, scalar_rule
+from pinchsec.game import _payoff_rule, closest_antenna
+from pinchsec.harness import METHODS, build_trial
+from helpers import (from_members, is_nash_stable, permutation_payoff, random_value_table,
+                     scalar_rule, step_rows, stepwise_scan, value_rule)
 
 
 def test_payoff_matches_permutation_enumeration():
@@ -219,3 +225,67 @@ def test_trace_rows_format():
         "step": 2, "cycle": 1, "antenna": 1, "action": "merge",
         "coalition_mask": 0b11, "coalition_size": 2, "value": 3.0,
     }
+
+
+# each activation method's scan, and a fresh instance of its move rule for the oracle
+SCANS = {
+    "shapley": (run_activation, _payoff_rule),
+    "coalition-value": (coalition_value_activation, lambda v, n: value_rule(v)),
+}
+
+
+def _expands_to_stepwise_scan(method, v, layout, bob, max_cycles):
+    """The flip trace of a scan expands to the steps and rows of the stepwise
+    oracle; returns the oracle's steps."""
+    scan, rule = SCANS[method]
+    mask, trace = scan(v, layout, bob, max_cycles=max_cycles)
+    ref_mask, ref_steps, converged, cycles = stepwise_scan(
+        v, layout, bob, rule(v, layout.n_antennas), max_cycles)
+    assert mask == ref_mask
+    assert (trace.converged, trace.cycles_used) == (converged, cycles)
+    # repr compares NaN values too, and tells -0.0 from 0.0
+    assert repr(trace.steps) == repr(ref_steps)
+    assert repr(trace.to_rows()) == repr(step_rows(ref_steps))
+    assert len(ref_steps) == trace.cycles_used * layout.n_antennas
+    return ref_steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SCANS)), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 30.0))
+def test_trace_expands_to_the_stepwise_scan_on_drops(method, n, seed, power_dbm):
+    trial = build_trial(ExperimentConfig(n_antennas=n, master_seed=seed), 0, 0, n, power_dbm)
+    outcome = METHODS[method].run(trial)
+    ref_steps = _expands_to_stepwise_scan(method, trial.evaluator, trial.layout, trial.drop.bob,
+                                          trial.config.max_cycles)
+    assert outcome.mask == ref_steps[-1].coalition
+    # the iterations column counts every examined antenna
+    assert outcome.iterations == len(ref_steps) == outcome.trace.cycles_used * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SCANS)), st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, float("nan")]),
+             min_size=1 << n, max_size=1 << n),
+    st.integers(0, n - 1))))
+def test_trace_expands_to_the_stepwise_scan_on_tied_tables(method, case):
+    # few distinct values: ties, NaN values and scans that hit the cycle cap
+    values, start = case
+    n = len(values).bit_length() - 1
+    layout = AntennaLayout(tuple(float(i) for i in range(n)))
+    _expands_to_stepwise_scan(method, values.__getitem__, layout, (float(start), 0.0, 0.0), 20)
+
+
+def test_scan_looks_up_v_only_at_the_start_and_after_each_flip():
+    looked_up = []
+
+    def v(mask):
+        looked_up.append(mask)
+        return TRIO_TABLE[mask]
+
+    layout = AntennaLayout((0.0, 1.0, 2.0))
+    mask, trace = game._scan(v, layout, (0.0, 0.0, 0.0), scalar_rule(TRIO_TABLE.__getitem__), 100)
+    assert [flip.coalition for flip in trace.flips] == [0b011, 0b111, 0b101]
+    assert [flip.action for flip in trace.flips] == ["merge", "merge", "split"]
+    assert looked_up == [0b001, 0b011, 0b111, 0b101]
+    assert len(trace.steps) == 9

@@ -22,8 +22,8 @@ from pinchsec import (
 )
 from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.game import (_chunk_rows, _coalition_scores, _outsider_scores, _payoff_rule, _scan,
-                           _subset_table, _with_member, _without_member, is_nash_stable)
-from helpers import from_members, loop_payoff, permutation_payoff, scalar_rule
+                           _subset_table, _with_member, _without_member)
+from helpers import from_members, is_nash_stable, loop_payoff, permutation_payoff, scalar_rule
 
 SCENARIO = Scenario()
 
