@@ -36,12 +36,6 @@ def full_mask(n_antennas: int) -> int:
     return (1 << n_antennas) - 1
 
 
-def validate(mask: int, n_antennas: int) -> None:
-    """Reject masks referencing antennas outside 0..n_antennas-1."""
-    if mask < 0 or mask >= (1 << n_antennas):
-        raise ValueError(f"coalition mask {mask} out of range for {n_antennas} antennas")
-
-
 def _bit_counts(n_members: int) -> np.ndarray:
     out = np.zeros(1 << n_members, dtype=np.uint8)
     for k in range(n_members):

@@ -22,12 +22,14 @@ improve its payoff by unilaterally joining or leaving (Nash stability),
 or after a cycle cap.  The value-driven baseline runs the same scan with
 its own rule.  A scan's GameTrace keeps its start and its flips, each with
 the mask it left and that mask's value, and looks up v for nothing else;
-steps and to_rows() expand the flips to one entry per examined antenna,
-cycles_used x N in all, as trace.csv lists them.
+to_rows() expands the flips to one row per examined antenna, cycles_used
+x N in all, as trace.csv lists them.
 
-The rule scores each mask S it meets from table(S), built once, and
-keeps each mask's moves for the whole scan.  Every member's scores come
-from table(S), and so do the outsiders'.  An outsider n's payoff in
+The value v is a SecrecyEvaluator, or any object with its v(mask) and
+v.subset_values(mask, joining) (see run_activation).  The rule scores the
+current mask S from table(S), built on first need, and keeps S's moves
+until S flips.  Every member's scores come from table(S), and so do the
+outsiders'.  An outsider n's payoff in
 S + n is the weighted sum over subsets T of S of v(T + n) - v(T), so it
 needs only the row v(T + n), half of the table of S + n.  The rows of a
 chunk of outsiders come from one pass of the kernel, with n's
@@ -54,7 +56,7 @@ import numpy as np
 from . import coalitions
 from .coalitions import ENUMERATION_CAP, CapacityError
 from .geometry import AntennaLayout
-from .secrecy import _BLOCK_BITS
+from .secrecy import _BLOCK_BITS, SecrecyEvaluator
 
 ValueFunction = Callable[[int], float]
 
@@ -70,21 +72,19 @@ def _subset_weights(coalition_size: int) -> tuple[float, ...]:
 
 
 # coalitions up to this size take their payoffs through one cached gather
-# plan (264 KiB at 11); larger ones pair the table's halves member by member.
-# Measured crossover: up to 11 members, where a table costs mostly numpy
-# call overhead (about 7 calls per member in the loop), the plan is 3-10x
-# faster; from 12 on it is slower (248 against 184 us at 12 on an x86 host).
+# plan (176 KiB at 11); larger ones pair the table's halves member by member.
+# Process CPU per table in us, plan against loop, best of 5, range over 3
+# runs on a 2-core x86 host: 6.2-6.6/14-24 at 2 members, 3.6-6.7/25-45 at
+# 4, 7.5-13/51-91 at 8, 44-74/95-164 at 11, 224-403/152-247 at 12,
+# 427-717/242-353 at 13, 1031-1569/369-555 at 14.  Most tables have 2-8
+# members, where the loop's numpy calls (about 7 a member) cost 2-9x more.
 _PLANNED_SIZE = 11
-
-
-def _size_weights(size: int) -> np.ndarray:
-    """_subset_weights(size) spread over every subset index by its size."""
-    return np.array(_subset_weights(size) + (0.0,))[coalitions.subset_sizes(size)]
 
 
 def _outsider_weights(size: int) -> np.ndarray:
     """Weight of every subset of a coalition of the given size, as a subset
-    of one of size + 1: the terms of an outsider's payoff."""
+    of one of size + 1: the terms of an outsider's payoff, and of a member's
+    payoff in a coalition of size + 1, where it is an outsider of the rest."""
     weights = np.array(_subset_weights(size + 1))[coalitions.subset_sizes(size)]
     weights.flags.writeable = False
     return weights
@@ -94,34 +94,14 @@ _cached_outsider_weights = lru_cache(maxsize=None)(_outsider_weights)
 
 
 @lru_cache(maxsize=None)
-def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per member i: the indices with bit i set, the same without it, and the
-    weight of each pair (by the size of the subset without i)."""
+def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per member i: the indices with bit i set, and the same without it."""
     index = np.arange(1 << size)
     without = np.array([index[index >> i & 1 == 0] for i in range(size)])
-    plan = (without | (1 << np.arange(size))[:, None], without, _size_weights(size)[without])
+    plan = (without | (1 << np.arange(size))[:, None], without)
     for part in plan:
         part.flags.writeable = False
     return plan
-
-
-def _subset_table(v: ValueFunction, coalition: int, joining=None) -> np.ndarray:
-    """v over every subset of the coalition; bit i is its i-th lowest member.
-
-    With joining antennas (ascending, outside the coalition), one row per
-    joining antenna n instead: v(sub + n) for every subset, indexed the same
-    way.
-    """
-    subset_values = getattr(v, "subset_values", None)
-    if subset_values is not None:
-        return subset_values(coalition, joining)
-    subsets = [0]
-    for n in coalitions.members(coalition):
-        bit = 1 << n
-        subsets += [sub | bit for sub in subsets]
-    if joining is None:
-        return np.array([v(sub) for sub in subsets], dtype=np.float64)
-    return np.array([[v(sub | 1 << n) for sub in subsets] for n in joining], dtype=np.float64)
 
 
 def _member_payoffs(table: np.ndarray) -> np.ndarray:
@@ -132,14 +112,14 @@ def _member_payoffs(table: np.ndarray) -> np.ndarray:
     """
     size = table.size.bit_length() - 1
     if size <= _PLANNED_SIZE:
-        with_member, without, weights = _payoff_plan(size)
+        with_member, without = _payoff_plan(size)
+        weights = _cached_outsider_weights(size - 1)
         return ((table[with_member] - table[without]) * weights).sum(axis=1)
-    weights = _size_weights(size)
+    weights = _outsider_weights(size - 1)
     payoffs = np.empty(size)
     for i in range(size):
         pairs = table.reshape(-1, 2, 1 << i)
-        without = weights.reshape(-1, 2, 1 << i)[:, 0, :]
-        payoffs[i] = np.sum(without * (pairs[:, 1, :] - pairs[:, 0, :]))
+        payoffs[i] = np.sum(weights.reshape(-1, 1 << i) * (pairs[:, 1, :] - pairs[:, 0, :]))
     return payoffs
 
 
@@ -157,14 +137,14 @@ def _member_scores(table: np.ndarray) -> tuple[list[float], list[float]]:
     return _member_payoffs(table).tolist(), leave
 
 
-def _coalition_scores(v: ValueFunction, coalition: int) -> tuple[list[float], list[float]]:
+def _coalition_scores(v: SecrecyEvaluator, coalition: int) -> tuple[list[float], list[float]]:
     """Every member's payoff and leave score, lowest member first.
 
     Both come from one subset table of a coalition of at most
     ENUMERATION_CAP: leave[i] = v(C - member i) - v(C).
     """
     _check_size(coalition.bit_count())
-    return _member_scores(_subset_table(v, coalition))
+    return _member_scores(v.subset_values(coalition))
 
 
 def _chunk_rows(size: int) -> int:
@@ -173,7 +153,7 @@ def _chunk_rows(size: int) -> int:
     return max(1, (1 << _BLOCK_BITS) >> size)
 
 
-def _outsider_scores(v: ValueFunction, coalition: int, table: np.ndarray,
+def _outsider_scores(v: SecrecyEvaluator, coalition: int, table: np.ndarray,
                      outsiders: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Payoff and leave score of each outsider n as a member of coalition + n,
     and its row v(T + n) over the coalition's subsets T.
@@ -187,7 +167,7 @@ def _outsider_scores(v: ValueFunction, coalition: int, table: np.ndarray,
     """
     size = table.size.bit_length() - 1
     weights = _cached_outsider_weights(size) if size <= _BLOCK_BITS else _outsider_weights(size)
-    joined = _subset_table(v, coalition, outsiders)
+    joined = v.subset_values(coalition, outsiders)
     return ((joined - table) * weights).sum(axis=1), table[-1] - joined[:, -1], joined
 
 
@@ -196,76 +176,87 @@ def _local_index(coalition: int, antenna: int) -> int:
     return (coalition & ((1 << antenna) - 1)).bit_count()
 
 
-def shapley_value(v: ValueFunction, coalition: int, member: int) -> float:
-    """Exact payoff of a coalition member under value function v.
+def shapley_value(v: SecrecyEvaluator, coalition: int, member: int) -> float:
+    """Exact payoff of a coalition member under the value v.
 
-    Builds the coalition's whole subset table; scoring several members of
-    one coalition this way builds it once per call.
+    v is a SecrecyEvaluator, or any object with its v(mask) and
+    v.subset_values(mask, joining) (see run_activation).  Builds the
+    coalition's whole subset table; scoring several members of one
+    coalition this way builds it once per call.
     """
     if not coalition & (1 << member):
         raise ValueError(f"antenna {member} is not in the coalition")
     return _coalition_scores(v, coalition)[0][_local_index(coalition, member)]
 
 
-def _payoff_rule(v: ValueFunction, n_antennas: int) -> Callable[[int, int], bool]:
+class _MaskMoves:
+    """What the payoff rule knows of one mask: its subset table, built on
+    first need; its members that leave (None until scored); its outsiders
+    scored so far and those of them that join, as bit masks; and the last
+    chunk of outsiders scored, with their rows v(T + n)."""
+
+    def __init__(self, mask: int, table=None):
+        self.mask, self.table, self.leaves = mask, table, None
+        self.scored = self.joins = 0
+        self.chunk, self.rows = [], None
+
+
+def _payoff_rule(v: SecrecyEvaluator, n_antennas: int) -> Callable[[int, int], bool]:
     """flips(mask, n): the payoff game's move rule for antenna n.
 
     Compares n's payoff in C = mask + n with v(C - n) - v(C) (see the module
     docstring).  The first member asked about scores every member of the
     mask from the mask's table.  An outsider not yet scored is scored with
     the next outsiders in scan order, as many as fit one chunk
-    (_chunk_rows), in one pass over the same table.  Each mask keeps its
-    moves as bit masks of antennas.  A flip hands the next mask its table:
-    the current table without the leaving member's half, or with the
-    joining outsider's row as the new half.
+    (_chunk_rows), in one pass over the same table.  Only the current
+    mask's moves are kept; another mask starts afresh.  A flip hands the
+    next mask its table: the current one without the leaving member's
+    half, or with the joining outsider's row, if in the last chunk, as the
+    new half.
     """
-    leaves = {}     # mask -> its members that leave
-    joins = {}      # mask -> its scored outsiders that join
-    scored = {}     # mask -> its scored outsiders
-    # the current mask, its subset table, and the last chunk of outsiders
-    # scored against it with their rows v(T + n)
-    state = [-1, None, [], None]
+    now = _MaskMoves(-1)
 
-    def table_of(mask):
-        if state[0] != mask:
-            _check_size(mask.bit_count())
-            state[:] = mask, _subset_table(v, mask), [], None
-        return state[1]
+    def table():
+        if now.table is None:
+            _check_size(now.mask.bit_count())
+            now.table = v.subset_values(now.mask)
+        return now.table
 
     def flips(mask, n):
+        nonlocal now
+        if now.mask != mask:
+            now = _MaskMoves(mask)
         bit = 1 << n
         if mask & bit:
             if mask == bit:
                 return False
-            moves = leaves.get(mask)
-            if moves is None:
-                payoffs, leave = _member_scores(table_of(mask))
-                moves = leaves[mask] = _moves(coalitions.members(mask), leave, payoffs)
-            if not moves & bit:
+            if now.leaves is None:
+                payoffs, leave = _member_scores(table())
+                now.leaves = _moves(coalitions.members(mask), leave, payoffs)
+            if not now.leaves & bit:
                 return False
-            if state[0] == mask:
-                state[:] = mask ^ bit, _without_member(state[1], _local_index(mask, n)), [], None
+            now = _MaskMoves(mask ^ bit, _without_member(now.table, _local_index(mask, n)))
             return True
-        done = scored.get(mask, 0)
-        if not done & bit:
+        if not now.scored & bit:
             size = mask.bit_count()
             _check_size(size + 1)   # before the table is built
             rows = _chunk_rows(size)
-            taken = mask | done
+            taken = mask | now.scored
             chunk = [m for m in range(n_antennas) if not taken >> m & 1]
             if len(chunk) > rows:
                 # the next ones in the order the scan asks: from n up, then from 0
                 i = chunk.index(n)
                 chunk = sorted((chunk[i:] + chunk[:i])[:rows])
-            payoffs, leave, joined = _outsider_scores(v, mask, table_of(mask), chunk)
-            state[2:] = chunk, joined
-            joins[mask] = joins.get(mask, 0) | _moves(chunk, payoffs.tolist(), leave.tolist())
-            scored[mask] = done | sum(1 << m for m in chunk)
-        if not joins[mask] & bit:
+            payoffs, leave, now.rows = _outsider_scores(v, mask, table(), chunk)
+            now.chunk = chunk
+            now.joins |= _moves(chunk, payoffs.tolist(), leave.tolist())
+            now.scored |= sum(1 << m for m in chunk)
+        if not now.joins & bit:
             return False
-        if state[0] == mask and n in state[2]:
-            row = state[3][state[2].index(n)]
-            state[:] = mask | bit, _with_member(state[1], row, _local_index(mask, n)), [], None
+        handed = None
+        if n in now.chunk:
+            handed = _with_member(now.table, now.rows[now.chunk.index(n)], _local_index(mask, n))
+        now = _MaskMoves(mask | bit, handed)
         return True
     return flips
 
@@ -291,15 +282,6 @@ def _moves(antennas, scores, others) -> int:
     return sum(1 << n for n, score, other in zip(antennas, scores, others) if score > other)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    cycle: int
-    antenna: int
-    action: str           # "merge", "split", or "none"
-    coalition: int        # mask after the action
-    value: float          # v(coalition) after the action
-
-
 class Flip(NamedTuple):
     """One move of a scan: the antenna that flipped and what it left."""
 
@@ -319,9 +301,9 @@ class GameTrace:
 
     A scan examines all n_antennas antennas in index order every cycle, so
     it examines cycles_used * n_antennas in all, but only the flips are
-    kept.  steps and to_rows() expand them back to one entry per examined
-    antenna, in which an antenna that did not flip leaves the mask and
-    value as they were.
+    kept.  to_rows() expands them back to one row per examined antenna, in
+    which an antenna that did not flip leaves the mask and value as they
+    were.
     """
 
     n_antennas: int
@@ -331,39 +313,22 @@ class GameTrace:
     converged: bool
     cycles_used: int
 
-    def _expanded(self):
-        """(cycle, antenna, action, mask, value) per examined antenna."""
+    def to_rows(self) -> list[dict]:
+        """Flat dict rows (one per examined antenna) in trace.csv column order."""
+        rows = []
         mask, value = self.start, self.start_value
         flips = iter(self.flips)
         flip = next(flips, None)
         for cycle in range(1, self.cycles_used + 1):
             for n in range(self.n_antennas):
+                action = "none"
                 if flip is not None and flip.cycle == cycle and flip.antenna == n:
-                    mask, value = flip.coalition, flip.value
-                    yield cycle, n, flip.action, mask, value
+                    mask, value, action = flip.coalition, flip.value, flip.action
                     flip = next(flips, None)
-                else:
-                    yield cycle, n, "none", mask, value
-
-    @property
-    def steps(self) -> list[TraceStep]:
-        """One step per examined antenna, in scan order."""
-        return [TraceStep(*step) for step in self._expanded()]
-
-    def to_rows(self) -> list[dict]:
-        """Flat dict rows (one per examined antenna) in trace.csv column order."""
-        return [
-            {
-                "cycle": cycle,
-                "step": i,
-                "antenna": n,
-                "action": action,
-                "coalition_mask": mask,
-                "coalition_size": mask.bit_count(),
-                "value": value,
-            }
-            for i, (cycle, n, action, mask, value) in enumerate(self._expanded(), 1)
-        ]
+                rows.append({"cycle": cycle, "step": len(rows) + 1, "antenna": n, "action": action,
+                             "coalition_mask": mask, "coalition_size": mask.bit_count(),
+                             "value": value})
+        return rows
 
 
 @dataclass(frozen=True)
@@ -374,11 +339,13 @@ class PayoffReport:
     kind: str  # "shapley" for members, "marginal" for outsiders
 
 
-def payoff_reports(v: ValueFunction, coalition: int, n_antennas: int) -> list[PayoffReport]:
+def payoff_reports(v: SecrecyEvaluator, coalition: int, n_antennas: int) -> list[PayoffReport]:
     """Score every antenna against the given coalition.
 
     Members get their payoff; an outsider n gets v(S) - v(S + n), the
-    value the coalition keeps by leaving it out.
+    value the coalition keeps by leaving it out.  v is a SecrecyEvaluator,
+    or any object with its v(mask) and v.subset_values(mask, joining) (see
+    run_activation).
     """
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
@@ -429,9 +396,14 @@ def _scan(v: ValueFunction, layout: AntennaLayout, bob_position,
     return mask, trace
 
 
-def run_activation(v: ValueFunction, layout: AntennaLayout, bob_position,
+def run_activation(v: SecrecyEvaluator, layout: AntennaLayout, bob_position,
                    max_cycles: int = DEFAULT_MAX_CYCLES) -> tuple[int, GameTrace]:
     """Payoff-driven activation starting from the antenna closest to the user.
+
+    v is a SecrecyEvaluator, or any object with its two calls: v(mask), the
+    value of one mask, and v.subset_values(mask, joining), v of every subset
+    of mask as a float64 array indexed by the mask's members (bit i is the
+    i-th lowest), or with joining antennas one row of v(sub + n) per n.
 
     Returns the final coalition mask and the scan's trace.  A converged trace
     means a complete scan produced no move; cap exhaustion is reported via

@@ -2,24 +2,59 @@
 
 The scalar channel, rate, exhaustive-search and move-rule paths here are
 references for the package's vectorized ones: one antenna, one mask or
-one coalition at a time, in plain Python arithmetic.  The stepwise scan
-and the evaluator-built fixed array are the routes the package's scan
-trace and fixed array replaced; the Nash stability check serves only the
-tests.
+one coalition at a time, in plain Python arithmetic.  ValueTable gives a
+plain table or function the two calls the payoff game reads values
+through, with one scalar lookup per subset.  The stepwise scan and the
+evaluator-built fixed array are the routes the package's scan trace and
+fixed array replaced; the mask check and the Nash stability check serve
+only the tests.
 """
 
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from pinchsec import SecrecyEvaluator, coalitions, wavelengths
 from pinchsec.coalitions import ENUMERATION_CAP
-from pinchsec.game import (CapacityError, TraceStep, _payoff_rule, _subset_weights,
-                           closest_antenna, shapley_value)
+from pinchsec.game import (CapacityError, _payoff_rule, _subset_weights, closest_antenna,
+                           shapley_value)
 
 TWO_PI = 2.0 * math.pi
+
+
+class ValueTable:
+    """A value table read the way the payoff game reads a SecrecyEvaluator (oracle).
+
+    values is a dict or list indexed by mask, or a function of the mask.
+    v(mask) looks one value up; subset_values(mask, joining) looks up every
+    subset of mask one at a time, in table order (bit i of an index is the
+    mask's i-th lowest member), or with joining antennas (ascending,
+    outside the mask) one row of v(sub + n) per joining antenna n.
+    """
+
+    def __init__(self, values):
+        self._value = values if callable(values) else values.__getitem__
+
+    def __call__(self, mask):
+        return self._value(mask)
+
+    def subset_values(self, mask, joining=None):
+        subsets = [0]
+        for n in coalitions.members(mask):
+            bit = 1 << n
+            subsets += [sub | bit for sub in subsets]
+        if joining is None:
+            return np.array([self(sub) for sub in subsets], dtype=np.float64)
+        return np.array([[self(sub | 1 << n) for sub in subsets] for n in joining], dtype=np.float64)
+
+
+def validate(mask: int, n_antennas: int) -> None:
+    """Reject masks referencing antennas outside 0..n_antennas-1."""
+    if mask < 0 or mask >= (1 << n_antennas):
+        raise ValueError(f"coalition mask {mask} out of range for {n_antennas} antennas")
 
 
 def from_members(members) -> int:
@@ -219,6 +254,17 @@ def value_rule(v):
     return flips
 
 
+@dataclass(frozen=True)
+class TraceStep:
+    """One antenna examined by stepwise_scan."""
+
+    cycle: int
+    antenna: int
+    action: str           # "merge", "split", or "none"
+    coalition: int        # mask after the action
+    value: float          # v(coalition) after the action
+
+
 def stepwise_scan(v, layout, bob_position, flips, max_cycles):
     """The activation scan with one step and one v lookup per examined antenna (oracle).
 
@@ -272,7 +318,7 @@ def is_nash_stable(v, coalition: int, n_antennas: int) -> bool:
     """
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
-    coalitions.validate(coalition, n_antennas)
+    validate(coalition, n_antennas)
     flips = _payoff_rule(v, n_antennas)
     return not any(flips(coalition, n) for n in range(n_antennas))
 

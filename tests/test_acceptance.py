@@ -37,6 +37,7 @@ from pinchsec import (
 )
 from pinchsec.harness import drop_seed, method_seed
 from helpers import (
+    ValueTable,
     channel_coefficient,
     from_members,
     is_nash_stable,
@@ -69,20 +70,20 @@ def test_criterion_01_payoff_oracle_equivalence(capsys):
         members = tuple(sorted(int(m) for m in rng.choice(9, size=k, replace=False)))
         table = random_value_table(rng, members)
         coalition = from_members(members)
-        payoffs = {m: shapley_value(table.__getitem__, coalition, m) for m in members}
+        payoffs = {m: shapley_value(ValueTable(table), coalition, m) for m in members}
         for m in members:
             worst = max(worst, abs(payoffs[m] - permutation_payoff(table, members, m)))
         efficiency_gap = abs(math.fsum(payoffs.values()) - (table[coalition] - table[0]))
         worst = max(worst, efficiency_gap)
 
     # interchangeable members earn identical payoffs
-    symmetric = [shapley_value(lambda m: float(m.bit_count()) ** 1.5, 0b11111, i)
+    symmetric = [shapley_value(ValueTable(lambda m: float(m.bit_count()) ** 1.5), 0b11111, i)
                  for i in range(5)]
     symmetry_gap = max(abs(p - symmetric[0]) for p in symmetric)
     # a member that never moves the value earns exactly nothing
     null_rng = np.random.default_rng(55)
     base = {mask: float(null_rng.normal()) for mask in range(8)}
-    null_payoff = abs(shapley_value(lambda m: base[m & 0b0111], 0b1111, 3))
+    null_payoff = abs(shapley_value(ValueTable(lambda m: base[m & 0b0111]), 0b1111, 3))
 
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and symmetry_gap <= 1e-12 and null_payoff <= 1e-12 and elapsed < 10.0

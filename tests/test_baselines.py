@@ -623,7 +623,7 @@ def test_value_driven_activation_monotone_and_greedy():
     assert mask == 0b1111
     assert trace.converged
     # accepted moves never lower the running value
-    values = [s.value for s in trace.steps]
+    values = [r["value"] for r in trace.to_rows()]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
 
@@ -634,7 +634,7 @@ def test_value_driven_activation_can_abandon_the_start():
     layout = AntennaLayout((0.0, 1.0))
     mask, trace = coalition_value_activation(table.__getitem__, layout, (0.0, 0.0, 0.0))
     assert mask == 0b10
-    assert [s.action for s in trace.steps] == ["none", "merge", "split", "none", "none", "none"]
+    assert [r["action"] for r in trace.to_rows()] == ["none", "merge", "split", "none", "none", "none"]
     assert trace.cycles_used == 3
     assert trace.converged
 

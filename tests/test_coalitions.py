@@ -1,7 +1,7 @@
 import pytest
 
 from pinchsec import coalitions
-from helpers import from_members
+from helpers import from_members, validate
 
 
 def test_from_members_roundtrip():
@@ -25,11 +25,11 @@ def test_full_mask():
 
 
 def test_validate():
-    coalitions.validate(0b101, 3)
+    validate(0b101, 3)
     with pytest.raises(ValueError):
-        coalitions.validate(-1, 3)
+        validate(-1, 3)
     with pytest.raises(ValueError):
-        coalitions.validate(0b1000, 3)
+        validate(0b1000, 3)
 
 
 def test_members_size_agree_on_random_masks():

@@ -21,8 +21,8 @@ from pinchsec import (
 from pinchsec import game
 from pinchsec.game import _payoff_rule, closest_antenna
 from pinchsec.harness import METHODS, build_trial
-from helpers import (from_members, is_nash_stable, permutation_payoff, random_value_table,
-                     scalar_rule, step_rows, stepwise_scan, value_rule)
+from helpers import (ValueTable, from_members, is_nash_stable, permutation_payoff,
+                     random_value_table, scalar_rule, step_rows, stepwise_scan, value_rule)
 
 
 def test_payoff_matches_permutation_enumeration():
@@ -33,7 +33,7 @@ def test_payoff_matches_permutation_enumeration():
         table = random_value_table(rng, members)
         coalition = from_members(members)
         for member in members:
-            got = shapley_value(table.__getitem__, coalition, member)
+            got = shapley_value(ValueTable(table), coalition, member)
             want = permutation_payoff(table, members, member)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -45,13 +45,13 @@ def test_payoffs_are_efficient():
         members = tuple(sorted(int(m) for m in rng.choice(8, size=5, replace=False)))
         table = random_value_table(rng, members)
         coalition = from_members(members)
-        total = sum(shapley_value(table.__getitem__, coalition, m) for m in members)
+        total = sum(shapley_value(ValueTable(table), coalition, m) for m in members)
         assert total == pytest.approx(table[coalition] - table[0], rel=1e-12, abs=1e-12)
 
 
 def test_symmetric_members_earn_equal_payoffs():
     coalition = 0b1111
-    v = lambda mask: float(mask.bit_count()) ** 2
+    v = ValueTable(lambda mask: float(mask.bit_count()) ** 2)
     payoffs = [shapley_value(v, coalition, m) for m in range(4)]
     for p in payoffs[1:]:
         assert p == pytest.approx(payoffs[0], rel=1e-12)
@@ -61,19 +61,19 @@ def test_member_without_influence_earns_nothing():
     rng = np.random.default_rng(99)
     base = {mask: float(rng.normal()) for mask in range(8)}
     # antenna 3's bit never changes the value
-    v = lambda mask: base[mask & 0b0111]
+    v = ValueTable(lambda mask: base[mask & 0b0111])
     assert shapley_value(v, 0b1111, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_payoff_requires_membership():
     with pytest.raises(ValueError):
-        shapley_value(lambda m: 0.0, 0b101, 1)
+        shapley_value(ValueTable(lambda m: 0.0), 0b101, 1)
 
 
 def test_payoff_capacity_cap(monkeypatch):
     # the cap is read when payoffs are computed, so patching it reaches them
     monkeypatch.setattr(game, "ENUMERATION_CAP", 4)
-    v = lambda m: float(m.bit_count())
+    v = ValueTable(lambda m: float(m.bit_count()))
     assert shapley_value(v, 0b1111, 0) == pytest.approx(1.0)
     with pytest.raises(CapacityError, match="coalition size 5 exceeds enumeration cap 4"):
         shapley_value(v, 0b11111, 0)
@@ -105,7 +105,7 @@ TRIO_TABLE = {
 
 
 def test_hand_computed_trio_payoffs():
-    v = TRIO_TABLE.__getitem__
+    v = ValueTable(TRIO_TABLE)
     assert shapley_value(v, 0b111, 0) == pytest.approx(2.05, rel=1e-12)
     assert shapley_value(v, 0b111, 1) == pytest.approx(-0.4, rel=1e-12)
     assert shapley_value(v, 0b111, 2) == pytest.approx(0.85, rel=1e-12)
@@ -113,43 +113,45 @@ def test_hand_computed_trio_payoffs():
 
 def test_activation_on_pair_table():
     layout = AntennaLayout((0.0, 1.0))
-    mask, trace = run_activation(PAIR_TABLE.__getitem__, layout, (0.1, 0.0, 0.0))
+    mask, trace = run_activation(ValueTable(PAIR_TABLE), layout, (0.1, 0.0, 0.0))
     assert mask == 0b11
     assert trace.converged is True
     assert trace.cycles_used == 2
-    assert [s.action for s in trace.steps] == ["none", "merge", "none", "none"]
-    assert [s.cycle for s in trace.steps] == [1, 1, 2, 2]
-    assert [s.coalition for s in trace.steps] == [0b01, 0b11, 0b11, 0b11]
-    assert [s.value for s in trace.steps] == [1.0, 3.0, 3.0, 3.0]
+    rows = trace.to_rows()
+    assert [r["action"] for r in rows] == ["none", "merge", "none", "none"]
+    assert [r["cycle"] for r in rows] == [1, 1, 2, 2]
+    assert [r["coalition_mask"] for r in rows] == [0b01, 0b11, 0b11, 0b11]
+    assert [r["value"] for r in rows] == [1.0, 3.0, 3.0, 3.0]
 
 
 def test_activation_merges_then_splits():
     layout = AntennaLayout((0.0, 1.0, 2.0))
-    mask, trace = run_activation(TRIO_TABLE.__getitem__, layout, (0.0, 0.0, 0.0))
+    mask, trace = run_activation(ValueTable(TRIO_TABLE), layout, (0.0, 0.0, 0.0))
     assert mask == 0b101
     assert trace.converged is True
     assert trace.cycles_used == 3
-    assert [s.action for s in trace.steps] == [
+    rows = trace.to_rows()
+    assert [r["action"] for r in rows] == [
         "none", "merge", "merge",
         "none", "split", "none",
         "none", "none", "none",
     ]
-    assert trace.steps[-1].coalition == mask
-    assert trace.steps[-1].value == TRIO_TABLE[mask]
+    assert rows[-1]["coalition_mask"] == mask
+    assert rows[-1]["value"] == TRIO_TABLE[mask]
 
 
 def test_activation_respects_cycle_cap():
     layout = AntennaLayout((0.0, 1.0, 2.0))
-    mask, trace = run_activation(TRIO_TABLE.__getitem__, layout, (0.0, 0.0, 0.0),
+    mask, trace = run_activation(ValueTable(TRIO_TABLE), layout, (0.0, 0.0, 0.0),
                                  max_cycles=1)
     assert trace.converged is False
     assert trace.cycles_used == 1
-    assert len(trace.steps) == 3
+    assert len(trace.to_rows()) == 3
     assert mask == 0b111   # stopped before the split could happen
 
 
 def test_stability_of_engineered_tables():
-    v = TRIO_TABLE.__getitem__
+    v = ValueTable(TRIO_TABLE)
     assert is_nash_stable(v, 0b101, 3) is True
     assert is_nash_stable(v, 0b111, 3) is False   # antenna 1 wants out
     assert is_nash_stable(v, 0b001, 3) is False   # antenna 1 wants in
@@ -164,7 +166,7 @@ def test_stability_agrees_with_candidate_checks():
     for _ in range(50):
         table = {mask: float(rng.normal()) for mask in range(16)}
         table[0] = 0.0
-        v = table.__getitem__
+        v = ValueTable(table)
         coalition = int(rng.integers(1, 16))
         flips = scalar_rule(v)
         assert is_nash_stable(v, coalition, 4) == (not any(flips(coalition, n) for n in range(4)))
@@ -183,11 +185,12 @@ def test_activation_reaches_stability_on_physical_drops():
         assert mask != 0
         assert trace.converged
         assert is_nash_stable(v, mask, 8)
-        assert trace.steps[-1].coalition == mask
+        rows = trace.to_rows()
+        assert rows[-1]["coalition_mask"] == mask
         # a converged run ends with one full quiet cycle
-        last_cycle = [st for st in trace.steps if st.cycle == trace.cycles_used]
+        last_cycle = [r for r in rows if r["cycle"] == trace.cycles_used]
         assert len(last_cycle) == 8
-        assert all(st.action == "none" for st in last_cycle)
+        assert all(r["action"] == "none" for r in last_cycle)
 
 
 def test_activation_is_deterministic_without_scan_rng():
@@ -200,11 +203,11 @@ def test_activation_is_deterministic_without_scan_rng():
     first = run_activation(v, layout, drop.bob)
     second = run_activation(v, layout, drop.bob)
     assert first[0] == second[0]
-    assert first[1].steps == second[1].steps
+    assert first[1].to_rows() == second[1].to_rows()
 
 
 def test_payoff_reports_cover_every_antenna():
-    v = TRIO_TABLE.__getitem__
+    v = ValueTable(TRIO_TABLE)
     reports = payoff_reports(v, 0b101, 3)
     assert [r.antenna for r in reports] == [0, 1, 2]
     assert [r.in_coalition for r in reports] == [True, False, True]
@@ -218,7 +221,7 @@ def test_payoff_reports_cover_every_antenna():
 
 def test_trace_rows_format():
     layout = AntennaLayout((0.0, 1.0))
-    _, trace = run_activation(PAIR_TABLE.__getitem__, layout, (0.0, 0.0, 0.0))
+    _, trace = run_activation(ValueTable(PAIR_TABLE), layout, (0.0, 0.0, 0.0))
     rows = trace.to_rows()
     assert [r["step"] for r in rows] == [1, 2, 3, 4]
     assert rows[1] == {
@@ -244,7 +247,6 @@ def _expands_to_stepwise_scan(method, v, layout, bob, max_cycles):
     assert mask == ref_mask
     assert (trace.converged, trace.cycles_used) == (converged, cycles)
     # repr compares NaN values too, and tells -0.0 from 0.0
-    assert repr(trace.steps) == repr(ref_steps)
     assert repr(trace.to_rows()) == repr(step_rows(ref_steps))
     assert len(ref_steps) == trace.cycles_used * layout.n_antennas
     return ref_steps
@@ -273,7 +275,7 @@ def test_trace_expands_to_the_stepwise_scan_on_tied_tables(method, case):
     values, start = case
     n = len(values).bit_length() - 1
     layout = AntennaLayout(tuple(float(i) for i in range(n)))
-    _expands_to_stepwise_scan(method, values.__getitem__, layout, (float(start), 0.0, 0.0), 20)
+    _expands_to_stepwise_scan(method, ValueTable(values), layout, (float(start), 0.0, 0.0), 20)
 
 
 def test_scan_looks_up_v_only_at_the_start_and_after_each_flip():
@@ -284,8 +286,8 @@ def test_scan_looks_up_v_only_at_the_start_and_after_each_flip():
         return TRIO_TABLE[mask]
 
     layout = AntennaLayout((0.0, 1.0, 2.0))
-    mask, trace = game._scan(v, layout, (0.0, 0.0, 0.0), scalar_rule(TRIO_TABLE.__getitem__), 100)
+    mask, trace = game._scan(v, layout, (0.0, 0.0, 0.0), scalar_rule(ValueTable(TRIO_TABLE)), 100)
     assert [flip.coalition for flip in trace.flips] == [0b011, 0b111, 0b101]
     assert [flip.action for flip in trace.flips] == ["merge", "merge", "split"]
     assert looked_up == [0b001, 0b011, 0b111, 0b101]
-    assert len(trace.steps) == 9
+    assert len(trace.to_rows()) == 9

@@ -22,8 +22,9 @@ from pinchsec import (
 )
 from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.game import (_chunk_rows, _coalition_scores, _outsider_scores, _payoff_rule, _scan,
-                           _subset_table, _with_member, _without_member)
-from helpers import from_members, is_nash_stable, loop_payoff, permutation_payoff, scalar_rule
+                           _with_member, _without_member)
+from helpers import (ValueTable, from_members, is_nash_stable, loop_payoff, permutation_payoff,
+                     scalar_rule)
 
 SCENARIO = Scenario()
 
@@ -57,7 +58,7 @@ def games(draw, max_members=8):
 def test_payoffs_sum_to_the_coalition_value(game):
     members, table = game
     coalition = from_members(members)
-    payoffs = np.array(_coalition_scores(table.__getitem__, coalition)[0])
+    payoffs = np.array(_coalition_scores(ValueTable(table), coalition)[0])
     assert payoffs.shape == (len(members),)
     assert abs(payoffs.sum() - table[coalition]) <= 1e-12
 
@@ -67,8 +68,8 @@ def test_payoffs_agree_with_the_scalar_oracles(game, data):
     members, table = game
     coalition = from_members(members)
     member = data.draw(st.sampled_from(members))
-    got = shapley_value(table.__getitem__, coalition, member)
-    assert abs(got - loop_payoff(table.__getitem__, coalition, member)) <= 1e-12
+    got = shapley_value(ValueTable(table), coalition, member)
+    assert abs(got - loop_payoff(ValueTable(table), coalition, member)) <= 1e-12
     if len(members) <= 6:
         assert abs(got - permutation_payoff(table, members, member)) <= 1e-12
 
@@ -89,7 +90,7 @@ def test_symmetric_members_share_and_null_members_earn_nothing(n_sym, n_other, s
         return by_count[(mask & sym_bits).bit_count()] + other[(mask & other_bits) >> n_sym]
 
     coalition = sym_bits | other_bits | null
-    payoffs = [shapley_value(v, coalition, m) for m in coalitions.members(coalition)]
+    payoffs = [shapley_value(ValueTable(v), coalition, m) for m in coalitions.members(coalition)]
     assert max(payoffs[:n_sym]) - min(payoffs[:n_sym]) <= 1e-12
     assert abs(payoffs[-1]) <= 1e-12
 
@@ -142,15 +143,15 @@ def test_capacity_is_checked_before_any_table():
         raise AssertionError("v must not be called past the cap")
 
     with pytest.raises(CapacityError):
-        shapley_value(v, (1 << 40) - 1, 0)
+        shapley_value(ValueTable(v), (1 << 40) - 1, 0)
     with pytest.raises(CapacityError):
-        payoff_reports(v, (1 << 30) - 1, 30)
+        payoff_reports(ValueTable(v), (1 << 30) - 1, 30)
 
 
 def _assert_outsiders_match_their_coalitions(v, mask, n_antennas):
     """Every outsider's batched (payoff, leave score) and row v(T + n) equal
     those of its own coalition's table, bit for bit (repr: NaN and -0.0)."""
-    table = _subset_table(v, mask)
+    table = v.subset_values(mask)
     outsiders = [n for n in range(n_antennas) if not mask >> n & 1]
     rows = _chunk_rows(mask.bit_count())
     for start in range(0, len(outsiders), rows):
@@ -162,7 +163,7 @@ def _assert_outsiders_match_their_coalitions(v, mask, n_antennas):
             i = (mask & ((1 << n) - 1)).bit_count()
             want_payoffs, want_leave = _coalition_scores(v, coalition)
             assert repr((payoffs.item(j), leave.item(j))) == repr((want_payoffs[i], want_leave[i]))
-            full = _subset_table(v, coalition)
+            full = v.subset_values(coalition)
             assert repr(joined[j].tolist()) == repr(full.reshape(-1, 2, 1 << i)[:, 1].ravel().tolist())
             # the tables a flip hands on: coalition + n, and back to mask
             assert repr(_with_member(table, joined[j], i).tolist()) == repr(full.tolist())
@@ -187,11 +188,11 @@ def test_outsider_scores_equal_their_coalitions_on_drops(n, seed, power_dbm, bit
              min_size=1 << n, max_size=1 << n),
     st.integers(1, (1 << n) - 1))))
 def test_outsider_scores_equal_their_coalitions_on_tied_tables(case):
-    # plain callables take the scalar fallback; ties and NaN must carry over
+    # the oracle table looks values up one at a time; ties and NaN must carry over
     values, mask = case
     n = len(values).bit_length() - 1
     assume(mask != (1 << n) - 1)
-    _assert_outsiders_match_their_coalitions(values.__getitem__, mask, n)
+    _assert_outsiders_match_their_coalitions(ValueTable(values), mask, n)
 
 
 class _Untouchable:
@@ -204,12 +205,11 @@ class _Untouchable:
         raise AssertionError("no table may be built past the cap")
 
 
-@pytest.mark.parametrize("v", [_Untouchable(), _Untouchable().__call__])
-def test_an_outsider_past_the_cap_is_refused_before_any_table(v):
+def test_an_outsider_past_the_cap_is_refused_before_any_table():
     # the coalition itself is within the cap; joining it would not be
     full = (1 << ENUMERATION_CAP) - 1
     with pytest.raises(CapacityError):
-        _payoff_rule(v, ENUMERATION_CAP + 2)(full, ENUMERATION_CAP + 1)
+        _payoff_rule(_Untouchable(), ENUMERATION_CAP + 2)(full, ENUMERATION_CAP + 1)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -218,19 +218,19 @@ def test_table_rule_matches_the_scalar_oracle_past_one_chunk(seed):
     # outsider is scored in a chunk of its own
     layout, drop, v = _evaluator(40, seed, 0.0)
     mask, trace = run_activation(v, layout, drop.bob)
-    assert max(s.coalition.bit_count() for s in trace.steps) > 13
+    assert max(r["coalition_size"] for r in trace.to_rows()) > 13
     _same_scan(v, layout, drop.bob, 100)
 
 
 def test_scan_matches_one_candidate_check_per_step():
-    # run_activation keeps scores per coalition for the scan; the scalar
-    # oracle, one table and two v lookups per check, must drive the same scan
+    # run_activation keeps the current mask's scores; the scalar oracle,
+    # one table and two v lookups per check, must drive the same scan
     for seed in range(10):
         layout, drop, v = _evaluator(10, 300 + seed, 10.0)
         mask, trace = run_activation(v, layout, drop.bob)
         ref_mask, ref_trace = _scan(v, layout, drop.bob, scalar_rule(v), 100)
         assert mask == ref_mask
-        assert trace.steps == ref_trace.steps
+        assert trace.to_rows() == ref_trace.to_rows()
         assert is_nash_stable(v, mask, 10)
 
 
@@ -240,7 +240,7 @@ def _same_scan(v, layout, bob, max_cycles):
     ref_mask, ref_trace = _scan(v, layout, bob, scalar_rule(v), max_cycles)
     assert mask == ref_mask
     # repr compares NaN values too, and tells -0.0 from 0.0
-    assert repr(trace.steps) == repr(ref_trace.steps)
+    assert repr(trace.to_rows()) == repr(ref_trace.to_rows())
     assert (trace.converged, trace.cycles_used) == (ref_trace.converged, ref_trace.cycles_used)
 
 
@@ -261,7 +261,71 @@ def test_table_rule_matches_the_scalar_oracle_on_tied_tables(case):
     values, start = case
     n = len(values).bit_length() - 1
     layout = AntennaLayout(tuple(float(i) for i in range(n)))
-    _same_scan(values.__getitem__, layout, (float(start), 0.0, 0.0), 20)
+    _same_scan(ValueTable(values), layout, (float(start), 0.0, 0.0), 20)
+
+
+def _answers_in_any_order(v, n, data):
+    """One instance of the table-read rule, asked about (mask, n) in an order
+    no scan takes, answers as the scalar oracle does: after each answer the
+    next mask is the one the move leads to, the same mask (right after a
+    flip, the old one), a mask asked about before, or any mask at all,
+    near-full ones included, whose outsiders fill more than one chunk."""
+    full = (1 << n) - 1
+    any_mask = st.integers(1, full) | st.sets(st.integers(0, n - 1), max_size=4).map(
+        lambda out: full & ~from_members(out)).filter(bool)
+    flips, oracle = _payoff_rule(v, n), scalar_rule(v)
+    mask = data.draw(any_mask)
+    seen = [mask]
+    for _ in range(20):
+        antenna = data.draw(st.integers(0, n - 1))
+        flipped = flips(mask, antenna)
+        assert flipped == oracle(mask, antenna), (seen, antenna)
+        kind = data.draw(st.sampled_from(("next", "same", "seen", "any")))
+        if kind == "next":
+            mask ^= flipped << antenna
+        elif kind == "seen":
+            mask = data.draw(st.sampled_from(seen))
+        elif kind == "any":
+            mask = data.draw(any_mask)
+        seen.append(mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 30.0), st.data())
+def test_table_rule_answers_in_any_order_on_drops(n, seed, power_dbm, data):
+    _answers_in_any_order(_evaluator(n, seed, power_dbm)[2], n, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, float("nan")]), min_size=1 << n, max_size=1 << n)),
+    st.data())
+def test_table_rule_answers_in_any_order_on_tied_tables(values, data):
+    _answers_in_any_order(ValueTable(values), len(values).bit_length() - 1, data)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_join_scored_in_an_earlier_chunk_starts_its_mask_right(seed):
+    # at 12 members of 16 two outsiders share a chunk: the first of each
+    # pair scores both, so after the second pair an outsider of the first
+    # no longer has its row at hand when it joins
+    n = 16
+    v = _evaluator(n, seed, 0.0)[2]
+    oracle = scalar_rule(v)
+    rng = np.random.default_rng(seed)
+    cases = 0
+    for _ in range(40):
+        out = sorted(int(k) for k in rng.choice(n, 4, replace=False))
+        mask = ((1 << n) - 1) & ~from_members(out)
+        if [oracle(mask, k) for k in out[:3]] != [False, True, False]:
+            continue
+        flips = _payoff_rule(v, n)
+        assert not flips(mask, out[0]) and not flips(mask, out[2])
+        assert flips(mask, out[1])
+        after = mask | 1 << out[1]
+        assert [flips(after, m) for m in range(n)] == [oracle(after, m) for m in range(n)]
+        cases += 1
+    assert cases >= 2
 
 
 @settings(max_examples=50, deadline=None)
