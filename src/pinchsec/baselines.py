@@ -4,9 +4,12 @@
   of the evaluator it is given, which also scores the choice, streamed
   in blocks of 2^13 masks, one add per block, and ranked by a log-free
   ratio so that only masks near the best get log1p.  Buffers take 1.25
-  MiB at 16 antennas, 2.5 at 20 and 3.75 at 24; a search takes 0.9 ms,
-  7 ms and 105-116 ms (process CPU time on a 2-core host), under half of
-  the ascending block walk it replaced, with the same choices;
+  MiB at 16 antennas, 2.5 at 20 and 3.75 at 24; a search takes 0.71 ms,
+  7.6 ms and 112 ms (process CPU time per drop, median of 8 alternating
+  runs on a 2-core shared host), against 0.84, 8.9 and 129 ms when each
+  link's coefficient planes sat side by side instead of in contiguous
+  halves, and under half of the ascending block walk it replaced, with
+  the same choices;
 * simulated annealing over subsets (scales past the exhaustive limit),
   which skips in numpy the steps a frozen state surely rejects: at 28
   antennas and 20 dBm a walk takes 5-19 ms at 10^5 steps and 123-174 ms
@@ -295,12 +298,18 @@ def coalition_value_activation(v: ValueFunction, layout: AntennaLayout, bob_posi
     Same starting point and scan order as the payoff-driven game: an
     antenna joins or leaves when that strictly raises v, and singletons
     never empty.  Greedy on the group objective, so it ignores how the gain
-    splits across members.
+    splits across members.  v must be pure: the rule keeps the value of
+    the mask it scans from, so each examined antenna costs one lookup,
+    v(mask ^ n).
     """
+    current, value = -1, 0.0   # the mask scanned from, and its value
 
     def flips(mask, n):
+        nonlocal current, value
+        if mask != current:
+            current, value = mask, v(mask)
         proposal = mask ^ (1 << n)
-        return proposal != 0 and v(proposal) > v(mask)
+        return proposal != 0 and v(proposal) > value
 
     return _scan(v, layout, bob_position, flips, max_cycles)
 

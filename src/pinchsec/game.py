@@ -72,12 +72,14 @@ def _subset_weights(coalition_size: int) -> tuple[float, ...]:
 
 
 # coalitions up to this size take their payoffs through one cached gather
-# plan (176 KiB at 11); larger ones pair the table's halves member by member.
+# plan (264 KiB at 11); larger ones pair the table's halves member by member.
 # Process CPU per table in us, plan against loop, best of 5, range over 3
 # runs on a 2-core x86 host: 6.2-6.6/14-24 at 2 members, 3.6-6.7/25-45 at
 # 4, 7.5-13/51-91 at 8, 44-74/95-164 at 11, 224-403/152-247 at 12,
 # 427-717/242-353 at 13, 1031-1569/369-555 at 14.  Most tables have 2-8
 # members, where the loop's numpy calls (about 7 a member) cost 2-9x more.
+# The plan holds its weights gathered, one row per member: broadcasting a
+# single row over the members cost 0.6-1.5 us more per table at 2-8.
 _PLANNED_SIZE = 11
 
 
@@ -94,11 +96,14 @@ _cached_outsider_weights = lru_cache(maxsize=None)(_outsider_weights)
 
 
 @lru_cache(maxsize=None)
-def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per member i: the indices with bit i set, and the same without it."""
+def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per member i: the indices with bit i set, the same without it, and
+    the weight of each pair (by the size of the subset without i), gathered
+    so that the payoff arithmetic reads three arrays of one shape."""
     index = np.arange(1 << size)
     without = np.array([index[index >> i & 1 == 0] for i in range(size)])
-    plan = (without | (1 << np.arange(size))[:, None], without)
+    weights = np.tile(_outsider_weights(size - 1), (size, 1))
+    plan = (without | (1 << np.arange(size))[:, None], without, weights)
     for part in plan:
         part.flags.writeable = False
     return plan
@@ -112,8 +117,7 @@ def _member_payoffs(table: np.ndarray) -> np.ndarray:
     """
     size = table.size.bit_length() - 1
     if size <= _PLANNED_SIZE:
-        with_member, without = _payoff_plan(size)
-        weights = _cached_outsider_weights(size - 1)
+        with_member, without, weights = _payoff_plan(size)
         return ((table[with_member] - table[without]) * weights).sum(axis=1)
     weights = _outsider_weights(size - 1)
     payoffs = np.empty(size)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ from pinchsec.baselines import (
     _ula_positions,
     ula_secrecy_rate,
 )
+from pinchsec.game import DEFAULT_MAX_CYCLES
 from pinchsec.geometry import Drop
-from pinchsec.secrecy import _BLOCK_BITS
-from helpers import (brute_force_optimum, evaluator_ula_secrecy_rate, loop_annealing,
-                     one_shot_table)
+from pinchsec.secrecy import _BLOCK_BITS, secrecy_from_snr
+from helpers import (ValueTable, brute_force_optimum, evaluator_ula_secrecy_rate, loop_annealing,
+                     one_shot_table, step_rows, stepwise_scan, value_rule)
 
 
 def _drop_evaluator(seed=1, n=8, power_dbm=10.0):
@@ -134,6 +136,30 @@ def test_streamed_search_matches_the_one_shot_table(n, seed, power_dbm):
     rng = np.random.default_rng(seed)
     hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-4
     _assert_search_matches_table(hb, he, LinkBudget(power_dbm, -90.0), rng)
+
+
+# one block; one block of 13 antennas; a stack level and a block whose sums
+# go straight to the square buffer; two stack levels
+@pytest.mark.parametrize("n", [1, _BLOCK_BITS, _BLOCK_BITS + 1, 16])
+def test_snr_blocks_leave_spare_to_the_caller(n):
+    # a consumer that fills spare with NaN on every block, before and after
+    # reading snr, still reads every block's values bit for bit: spare
+    # shares no memory with snr or with the sums later blocks are built from
+    rng = np.random.default_rng(n)
+    hb, he = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e-4
+    budget = LinkBudget(20.0, -90.0)
+    table = one_shot_table(hb, he, budget)
+    got = np.empty(1 << n)
+    for first, snr, spare in SecrecyEvaluator(hb, he, budget).snr_blocks():
+        assert spare.shape == snr.shape and not np.shares_memory(snr, spare)
+        spare.fill(np.nan)
+        secrecy_from_snr(snr, out=got[first:first + snr.shape[1]])
+        spare.fill(np.nan)
+    got[0] = -np.inf
+    assert got.tobytes() == table.tobytes()
+    mask, value, _, _ = brute_force_secrecy_optimum(SecrecyEvaluator(hb, he, budget))
+    assert mask == int(np.argmax(table))
+    assert value == table[mask]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -626,6 +652,36 @@ def test_value_driven_activation_monotone_and_greedy():
     values = [r["value"] for r in trace.to_rows()]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (5, 1), (8, 2), (12, 3)])
+def test_value_driven_rule_looks_up_the_scanned_mask_once(n, seed):
+    # v is pure, so the rule keeps the value of the mask it scans from: per
+    # mask scanned from, one lookup by the rule and one by the scan's trace,
+    # and one lookup per examined antenna's nonempty flip
+    table = np.random.default_rng(seed).normal(size=1 << n).tolist()
+    calls = Counter()
+
+    def value(mask):
+        calls[mask] += 1
+        return table[mask]
+
+    layout = AntennaLayout(tuple(float(i) for i in range(n)))
+    bob = (n / 2.0, 0.0, 0.0)
+    _, trace = coalition_value_activation(ValueTable(value), layout, bob)
+    rows = trace.to_rows()
+    oracle = ValueTable(table)
+    _, ref_steps, _, _ = stepwise_scan(oracle, layout, bob, value_rule(oracle), DEFAULT_MAX_CYCLES)
+    assert rows == step_rows(ref_steps)
+    expected = Counter()
+    for mask in [trace.start] + [flip.coalition for flip in trace.flips]:
+        expected[mask] += 2
+    mask = trace.start
+    for row in rows:
+        if mask ^ 1 << row["antenna"]:
+            expected[mask ^ 1 << row["antenna"]] += 1
+        mask = row["coalition_mask"]
+    assert calls == expected
 
 
 def test_value_driven_activation_can_abandon_the_start():
