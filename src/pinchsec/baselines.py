@@ -1,15 +1,12 @@
 """Reference strategies the activation game is measured against.
 
 * exhaustive search over every nonempty antenna subset (exact optimum)
-  of the evaluator it is given, which also scores the choice, streamed
-  in blocks of 2^13 masks, one add per block, and ranked by a log-free
-  ratio so that only masks near the best get log1p.  Buffers take 1.25
-  MiB at 16 antennas, 2.5 at 20 and 3.75 at 24; a search takes 0.71 ms,
-  7.6 ms and 112 ms (process CPU time per drop, median of 8 alternating
-  runs on a 2-core shared host), against 0.84, 8.9 and 129 ms when each
-  link's coefficient planes sat side by side instead of in contiguous
-  halves, and under half of the ascending block walk it replaced, with
-  the same choices;
+  of the evaluator it is given, which also scores the choice: the
+  evaluator's block walk (snr_blocks), ranked by a log-free ratio so that
+  only masks near the best get log1p.  A search peaks at 1.26 MiB at 16
+  antennas, 2.52 at 20 and 3.77 at 24 (tracemalloc) and takes 0.67-0.98,
+  6.1-9.2 and 96-138 ms (process CPU time per drop on a 2-core shared
+  host, whose speed drifted that much between runs);
 * simulated annealing over subsets (scales past the exhaustive limit),
   which skips in numpy the steps a frozen state surely rejects: at 28
   antennas and 20 dBm a walk takes 5-19 ms at 10^5 steps and 123-174 ms
@@ -33,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import wavelengths
+from .coalitions import full_mask
 from .game import DEFAULT_MAX_CYCLES, GameTrace, ValueFunction, _scan
 from .geometry import AntennaLayout, Drop, Scenario
 from .secrecy import LinkBudget, SecrecyEvaluator, link_rate, secrecy_from_snr
@@ -42,17 +40,15 @@ ANNEALING_MAX_ANTENNAS = 64
 
 
 def enumerate_secrecy_values(bob_coeffs, eve_coeffs, budget: LinkBudget) -> np.ndarray:
-    """Secrecy rate of every coalition, indexed by mask.
+    """Secrecy rate of every coalition, indexed by mask: the full mask's
+    subset table, with entry 0 (empty mask) -inf so argmax never picks it.
 
     Channels are complex coefficient arrays of equal length, as
-    channel_vector returns them.  Entry 0 (empty mask) is -inf so argmax
-    never picks it.
+    channel_vector returns them.
     """
     evaluator = SecrecyEvaluator(bob_coeffs, eve_coeffs, budget)
-    blocks = evaluator.snr_blocks()
-    table = np.empty(1 << evaluator.n_antennas)
-    for first, snr, _ in blocks:
-        secrecy_from_snr(snr, out=table[first:first + snr.shape[1]])
+    evaluator.snr_blocks()   # refuses n < 1 and n past the cap on the call
+    table = evaluator.subset_values(full_mask(evaluator.n_antennas))
     table[0] = -np.inf
     return table
 

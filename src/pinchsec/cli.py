@@ -13,7 +13,6 @@ from dataclasses import fields
 import numpy as np
 
 from . import coalitions
-from .coalitions import ENUMERATION_CAP
 from .game import payoff_reports
 from .harness import (_INI_FIELDS, METHODS, ExperimentConfig, apply_overrides, build_trial,
                       config_from_ini, run_antenna_sweep,
@@ -95,7 +94,7 @@ def _cmd_single_drop(args) -> int:
     greedy = METHODS["coalition-value"].run(trial)
     print(f"value-driven activation: coalition {sorted(coalitions.members(greedy.mask))} "
           f"secrecy {greedy.secrecy_rate:.6f}")
-    if n <= ENUMERATION_CAP:
+    if n <= METHODS["brute-force"].max_antennas:
         best = METHODS["brute-force"].run(trial)
         print(f"exhaustive optimum: coalition {sorted(coalitions.members(best.mask))} "
               f"secrecy {best.secrecy_rate:.6f}  (bob {best.bob_rate:.6f}, eve {best.eve_rate:.6f})")

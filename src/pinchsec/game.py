@@ -39,11 +39,11 @@ rows hold at most 2^13 entries in all, or are one row past that.  A flip
 hands the next mask its table: table(S) without the leaving member's
 entries, or table(S) and the joining outsider's row side by side.
 
-Temporary memory stays under 96 B x 2^|S|, what the full table of S + n
-took (about 65 B measured at |S| = 14 and 18, against 82-86 B for the
-full table).  A scan keeps table(S), the last chunk's rows and the next
-mask's table, so all of it stays under 1 GiB at the |S| = 24 cap; an
-outsider of 24 members is refused before any buffer.
+Scoring an outsider from table(S) peaks at 52 B x 2^|S| at |S| = 14 and
+49 B at 18, mostly the four planes of its row's sums; the full table of
+S + n peaks at 68 and 33 B (tracemalloc).  A scan keeps table(S), the last
+chunk's rows and the next mask's table, so all of it stays under 1 GiB at
+the |S| = 24 cap; an outsider of 24 members is refused before any buffer.
 """
 
 import math
@@ -83,16 +83,21 @@ def _subset_weights(coalition_size: int) -> tuple[float, ...]:
 _PLANNED_SIZE = 11
 
 
+_OUTSIDER_WEIGHTS: dict[int, np.ndarray] = {}
+
+
 def _outsider_weights(size: int) -> np.ndarray:
     """Weight of every subset of a coalition of the given size, as a subset
     of one of size + 1: the terms of an outsider's payoff, and of a member's
-    payoff in a coalition of size + 1, where it is an outsider of the rest."""
-    weights = np.array(_subset_weights(size + 1))[coalitions.subset_sizes(size)]
-    weights.flags.writeable = False
+    payoff in a coalition of size + 1, where it is an outsider of the rest.
+    Kept up to _BLOCK_BITS members, as the evaluator keeps its rho rows."""
+    weights = _OUTSIDER_WEIGHTS.get(size)
+    if weights is None:
+        weights = np.array(_subset_weights(size + 1))[coalitions.subset_sizes(size)]
+        weights.flags.writeable = False
+        if size <= _BLOCK_BITS:
+            _OUTSIDER_WEIGHTS[size] = weights
     return weights
-
-
-_cached_outsider_weights = lru_cache(maxsize=None)(_outsider_weights)
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +174,7 @@ def _outsider_scores(v: SecrecyEvaluator, coalition: int, table: np.ndarray,
     order, and its leave score is v(C) - v(C + n); both equal n's scores in
     _coalition_scores(v, coalition + n) bit for bit.
     """
-    size = table.size.bit_length() - 1
-    weights = _cached_outsider_weights(size) if size <= _BLOCK_BITS else _outsider_weights(size)
+    weights = _outsider_weights(table.size.bit_length() - 1)
     joined = v.subset_values(coalition, outsiders)
     return ((joined - table) * weights).sum(axis=1), table[-1] - joined[:, -1], joined
 

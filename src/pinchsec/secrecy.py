@@ -16,8 +16,8 @@ from . import coalitions
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
-# snr_blocks spans the low 13 antennas per block: 8192 masks, whose
-# planes (256 KiB for the four sums of a block) stay in cache
+# a block of the subset walk (_blocks) spans the lowest 13 members: 8192
+# subsets, whose planes (256 KiB for the four sums of a block) stay in cache
 _BLOCK_BITS = 13
 
 
@@ -77,6 +77,8 @@ class SecrecyEvaluator:
     def __init__(self, bob_channels, eve_channels, budget: LinkBudget):
         hb = np.asarray(bob_channels, dtype=np.complex128)
         he = np.asarray(eve_channels, dtype=np.complex128)
+        if hb.ndim != 1 or he.ndim != 1:
+            raise ValueError("channel vectors must be 1-D arrays")
         if len(hb) != len(he):
             raise ValueError("bob and eve channel vectors must have equal length")
         self._n = len(hb)
@@ -90,8 +92,7 @@ class SecrecyEvaluator:
         active = np.arange(1, self._n + 1)
         self._rho = np.concatenate(([0.0], budget.transmit_power_w
                                     / (active * budget.noise_power_w)))
-        self._rho_rows: dict[int, np.ndarray] = {}
-        self._joined_rho_rows: dict[int, np.ndarray] = {}
+        self._rho_rows: dict[tuple[int, int], np.ndarray] = {}
         self._memo: dict[int, float] = {0: 0.0}
 
     @property
@@ -120,26 +121,18 @@ class SecrecyEvaluator:
         rho = self._rho.item(mask.bit_count())
         return link_rate(hb, rho), link_rate(he, rho)
 
-    def _subset_sums(self, rows, out=None, joining=None) -> np.ndarray:
-        """Coefficient sums of every subset of the given antennas, as four
-        planes of 2^len(rows) entries: bob re, eve re, bob im, eve im.
+    def _subset_sums(self, rows, planes, joining=()) -> None:
+        """Coefficient sums of every subset of the given antennas into planes
+        (bob re, eve re, bob im, eve im) of shape (4, len(joining) or 1,
+        2^len(rows)), doubling one contiguous block per antenna: bit k of an
+        index stands for rows[k], and each sum adds its antennas in order.
 
-        Doubles one contiguous block per antenna, in the order given: bit k
-        of an index stands for rows[k], and each sum adds its antennas in
-        that order.  Writes into out, a contiguous buffer, when given.
-
-        With joining antennas (ascending, none in the ascending rows) the
-        planes are (4, len(joining), 2^len(rows)): one row per joining
-        antenna n, where every sum also adds n in its ascending place.  n
-        joins the first 2^k entries just before the doubling over rows[k],
-        the first row above n, or every entry after the last doubling.
+        With joining antennas (ascending, none in rows) there is one row of
+        sums per joining antenna n, each sum also adding n in its ascending
+        place: n joins the first 2^k entries just before the doubling over
+        rows[k], the first of rows above n, or every entry after the last.
         """
-        if joining is None:
-            joining = ()
-            sums = np.empty((4, 1 << len(rows))) if out is None else out
-            planes = sums.reshape(4, 1, -1)
-        else:
-            sums = planes = np.empty((4, len(joining), 1 << len(rows)))
+        if joining:
             joined_coeffs = self._coeffs[:, joining, None]
         planes[..., 0] = 0.0
         joined = 0          # joining antennas added so far: the ones below row
@@ -152,21 +145,18 @@ class SecrecyEvaluator:
             np.add(planes[..., :half], self._coeffs[:, row, None, None], out=planes[..., half:2 * half])
         if joined < len(joining):
             planes[:, joined:] += joined_coeffs[:, joined:]
-        return sums
 
-    def _rho_row(self, size: int, joined: bool) -> np.ndarray:
-        """rho for every subset index of size antennas, by subset size, or by
-        subset size + 1 when another antenna joins each subset.
-
-        Kept per size up to 2^_BLOCK_BITS entries, where building the row
-        costs as much as using it.
+    def _rho_row(self, size: int, added: int) -> np.ndarray:
+        """rho for every subset index of size antennas, by subset size +
+        added, the antennas that join each subset.  Kept up to
+        2^_BLOCK_BITS entries, where building the row costs as much as
+        using it.
         """
-        rows = self._joined_rho_rows if joined else self._rho_rows
-        row = rows.get(size)
+        row = self._rho_rows.get((size, added))
         if row is None:
-            row = self._rho[int(joined):][coalitions.subset_sizes(size)]
+            row = self._rho[added:][coalitions.subset_sizes(size)]
             if size <= _BLOCK_BITS:
-                rows[size] = row
+                self._rho_rows[size, added] = row
         return row
 
     def subset_values(self, mask: int, joining=None) -> np.ndarray:
@@ -174,78 +164,84 @@ class SecrecyEvaluator:
 
         Bit i of an index stands for the i-th lowest member of the mask, so
         entry 0 is v(empty) = 0 and the last entry is v(mask); each entry
-        equals self(sub) bit for bit.  Holds 48 bytes per entry at its
-        peak.  Nothing is memoized.
+        equals self(sub) bit for bit.  Finished block by block from _blocks,
+        the table peaks at 65 bytes per entry at 13 members, 48 at 14, 16 at
+        18, 11 at 20 and 9 at 22 (tracemalloc).  Nothing is memoized.
 
-        With joining antennas (ascending, outside the mask) the result has
-        one row per joining antenna n instead, indexed the same way: entry
-        i of n's row is self(sub + n), bit for bit, and its peak is 40 bytes
-        per entry.
+        With joining antennas (ascending, outside the mask) there is one row
+        per joining antenna n instead, indexed the same way: entry i of n's
+        row is self(sub + n), bit for bit.  The rows come from one pass of
+        _subset_sums, at 41-48 bytes per entry.
         """
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        sums = self._subset_sums(members, joining=joining)
-        return secrecy_from_snr(_snr(sums, self._rho_row(len(members), joining is not None), sums))
+        if joining is not None:
+            sums = np.empty((4, len(joining), 1 << len(members)))
+            self._subset_sums(members, sums, joining)
+            return secrecy_from_snr(_snr(sums, self._rho_row(len(members), 1), sums))
+        table = np.empty(1 << len(members))
+        for first, snr, _ in self._blocks(members):
+            secrecy_from_snr(snr, out=table[first:first + snr.shape[1]])
+        return table
 
     def snr_blocks(self):
         """The kernel's SNR stage for every mask, in blocks of 2^13 masks.
 
         Iterates (first mask, snr, spare): snr holds rho * |h|^2 of bob and
         eve as two planes, and spare is two planes of the same shape that
-        the caller may overwrite.  They are the two contiguous halves of
-        one square buffer (planes 0-1 and 2-3), reused, so they hold a
-        block only until the next is drawn.  Entry 0 of the
-        block at mask 0 is the empty mask, whose SNRs are 0; every other
-        entry gives self(mask) bit for bit through secrecy_from_snr.
-
-        A block spans the low 13 antennas; its high antennas are the ones
-        above.  Blocks come in prefix order of their high antennas, so each
-        block's sums are its parent's (the same high antennas without the
-        highest) plus that highest antenna: one add per block, and every
-        sum still adds its antennas in ascending order.  The sums wait on a
-        stack, one level per high antenna set, next to one rho row per count
-        of high antennas set; a block whose highest antenna is the last has
-        no children, so its sums go straight to the square buffer.  Buffers
-        take 32 bytes per block entry per stack level, 8 per rho row and 32
-        for the square: 1.25 MiB at n = 16, 2.5 at 20 and 3.75 at 24.  The
-        call refuses n < 1 (ValueError) and n > ENUMERATION_CAP (CapacityError).
+        the caller may overwrite.  They are the two contiguous halves of one
+        square buffer (planes 0-1 and 2-3), reused, so they hold a block
+        only until the next is drawn.  Entry 0 of the block at mask 0 is the
+        empty mask, whose SNRs are 0; every other entry gives self(mask) bit
+        for bit through secrecy_from_snr.  A search peaks at 1.26 MiB at
+        n = 16, 2.52 at 20 and 3.77 at 24 (tracemalloc).  The call refuses
+        n < 1 (ValueError) and n > ENUMERATION_CAP (CapacityError).
         """
         if self._n < 1:
             raise ValueError("need at least one antenna")
         if self._n > coalitions.ENUMERATION_CAP:
             raise coalitions.CapacityError(
                 f"exhaustive search over 2^{self._n} masks exceeds the enumeration cap")
-        return self._blocks()
+        return self._blocks(range(self._n))
 
-    def _blocks(self):
-        low_bits = min(self._n, _BLOCK_BITS)
-        high_bits = self._n - low_bits
-        # rho by active count, one row per number of high antennas set;
-        # numpy gathers through a native-int index 2-3x faster than through
-        # subset_sizes' uint8 one
-        sizes = coalitions.subset_sizes(low_bits).astype(np.intp)
-        rho = [self._rho[count:].take(sizes) for count in range(high_bits + 1)]
-        stack = np.empty((max(high_bits, 1), 4, 1 << low_bits))
-        self._subset_sums(range(low_bits), out=stack[0])
-        square = np.empty_like(stack[0])
+    def _blocks(self, members):
+        """snr_blocks' walk over every subset of the ascending members; bit
+        i of a yielded index stands for members[i].
+
+        A block spans the lowest 13 members.  Blocks come in prefix order of
+        the members above, so each block's sums are its parent's plus its
+        highest member: one add per block, and every sum still adds its
+        antennas in ascending order.  The sums wait on a stack, one level
+        (256 KiB) per high member set; a block with no children (its highest
+        member is the last, or it is the only block) goes to the square.
+        Each count of high members set has its rho row (64 KiB), kept by
+        _rho_row.
+        """
+        low, high = members[:_BLOCK_BITS], members[_BLOCK_BITS:]
+        width = 1 << len(low)
+        # built once per walk: a column per high member and one buffer for
+        # the stack.  The square comes after the root's sums, so numpy's
+        # buffers for their doublings (about 190 KiB) are gone; a square
+        # inside the stack's buffer slowed the search's ranking by 8-9% at
+        # n = 20 and 24
+        columns = [self._coeffs[:, m, None] for m in high]
+        levels = list(np.empty((len(high), 4, width)))
+        root = levels[0] if high else np.empty((4, width))
+        self._subset_sums(low, root[:, None])
+        square = np.empty((4, width)) if high else root
         spare = square[2:]
-        # the views the blocks read, built once: each stack level and each
-        # high antenna's coefficients as a column
-        levels = list(stack)
-        columns = list(self._coeffs[:, low_bits:, None].transpose(1, 0, 2))
-        todo = [(0, -1)]   # (high antennas set, highest of them; -1 if none)
+        todo = [(0, -1)]   # (high members set, highest of them; -1 if none)
         while todo:
-            high, top = todo.pop()
-            depth = high.bit_count()
-            if not depth:
-                sums = levels[0]
-            else:
-                level = square if top == high_bits - 1 else levels[depth]
+            high_set, top = todo.pop()
+            depth = high_set.bit_count()
+            sums = root
+            if depth:
+                level = square if top == len(high) - 1 else levels[depth]
                 sums = np.add(levels[depth - 1], columns[top], out=level)
-            yield high << low_bits, _snr(sums, rho[depth], square), spare
-            # the children add one antenna above top; the lowest is drawn first
-            todo.extend((high | 1 << k, k) for k in range(high_bits - 1, top, -1))
+            yield high_set << len(low), _snr(sums, self._rho_row(len(low), depth), square), spare
+            # the children add one member above top; the lowest is drawn first
+            todo.extend((high_set | 1 << k, k) for k in range(len(high) - 1, top, -1))
 
     def __call__(self, mask: int) -> float:
         v = self._memo.get(mask)

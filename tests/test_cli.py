@@ -6,7 +6,7 @@ import pytest
 
 from pinchsec import ExperimentConfig, cli
 from pinchsec.cli import build_parser, main
-from pinchsec.harness import config_from_ini, effective_config_ini
+from pinchsec.harness import METHODS, config_from_ini, effective_config_ini
 
 
 def test_parser_knows_all_subcommands():
@@ -99,8 +99,7 @@ def test_single_drop_names_a_negative_trial(capsys):
 
 
 def test_single_drop_skips_exhaustive_when_too_large(capsys, monkeypatch):
-    import pinchsec.cli as cli
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 4)
+    monkeypatch.setitem(METHODS, "brute-force", METHODS["brute-force"]._replace(max_antennas=4))
     code = main(["single-drop", "--antennas", "6", "--seed", "12"])
     assert code == 0
     stdout = capsys.readouterr().out

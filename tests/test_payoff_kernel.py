@@ -1,6 +1,8 @@
 """Properties of the table-based exact payoffs, the move rule that reads
 them, and the subset table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,8 +25,8 @@ from pinchsec import (
 from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.game import (_chunk_rows, _coalition_scores, _outsider_scores, _payoff_rule, _scan,
                            _with_member, _without_member)
-from helpers import (ValueTable, from_members, is_nash_stable, loop_payoff, permutation_payoff,
-                     scalar_rule)
+from helpers import (ValueTable, from_members, is_nash_stable, loop_payoff, one_shot_table,
+                     permutation_payoff, scalar_rule)
 
 SCENARIO = Scenario()
 
@@ -104,19 +106,52 @@ def _evaluator(n, seed, power_dbm):
     return layout, drop, v
 
 
+# up to 12 members a table is one block; 13-18 members, dense or spread
+# over up to 24 antennas, take 1-32 blocks of the block walk
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(-10.0, 40.0), st.data())
-def test_subset_table_equals_the_evaluator_exactly(n, seed, power_dbm, data):
-    _, _, v = _evaluator(n, seed, power_dbm)
-    mask = data.draw(st.integers(1, (1 << n) - 1))
-    members = coalitions.members(mask)
+@given(st.integers(1, 12) | st.integers(13, 18), st.integers(0, 2 ** 32 - 1),
+       st.floats(-10.0, 40.0), st.data())
+def test_subset_table_equals_the_evaluator_exactly(size, seed, power_dbm, data):
+    n = data.draw(st.integers(size, 12 if size <= 12 else 24))
+    layout, drop, v = _evaluator(n, seed, power_dbm)
+    members = sorted(data.draw(st.permutations(range(n)))[:size])
+    mask = from_members(members)
     table = v.subset_values(mask)
-    assert table.shape == (1 << len(members),)
+    assert table.shape == (1 << size,)
+    assert table[0] == 0.0
+    hb = channel_vector(SCENARIO, layout, drop.bob)[members]
+    he = channel_vector(SCENARIO, layout, drop.eve)[members]
+    oracle = one_shot_table(hb, he, LinkBudget(power_dbm, SCENARIO.noise_power_dbm))
+    assert table[1:].tobytes() == oracle[1:].tobytes()
+    # every entry of a small table, and past that the block edges and a
+    # sample, against scalar lookups, also on an evaluator that built no table
+    if table.size <= 1 << 12:
+        spots = range(table.size)
+    else:
+        edges = [k << 13 for k in range(table.size >> 13)]
+        spots = edges + [e - 1 for e in edges[1:]] + [table.size - 1] + data.draw(
+            st.lists(st.integers(0, table.size - 1), min_size=32, max_size=32))
     fresh = _evaluator(n, seed, power_dbm)[2]
-    for local in range(table.size):
+    for local in spots:
         sub = from_members(m for i, m in enumerate(members) if local >> i & 1)
         assert table[local] == v(sub) == fresh(sub)
-    assert table[0] == 0.0
+
+
+def test_plain_table_past_one_block_holds_at_most_20_bytes_per_entry():
+    # 18 members spread over 24 antennas: 32 blocks.  The table (8 B an
+    # entry), 5 stack levels and the square buffer (256 KiB each) and 6
+    # rho rows (64 KiB each) come to about 16 B an entry; doubling the
+    # whole table at once held about 41
+    _, _, v = _evaluator(24, 3, 10.0)
+    mask = from_members(range(0, 24, 4)) | from_members(range(1, 24, 2))
+    assert mask.bit_count() == 18
+    tracemalloc.start()
+    try:
+        v.subset_values(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 18
 
 
 def test_subset_table_leaves_the_memo_alone():

@@ -203,6 +203,11 @@ def test_evaluator_rejects_mismatched_vectors():
     eve = channel_vector(s, uniform_layout(s, 4), GOLDEN_EVE)
     with pytest.raises(ValueError):
         SecrecyEvaluator(bob, eve, budget)
+    # arrays that are not 1-D are refused where they enter, not at a lookup
+    for shape in [(3, 2), ()]:
+        bad = np.full(shape, 1e-4 + 0j)
+        with pytest.raises(ValueError, match="1-D"):
+            SecrecyEvaluator(bad, bad, budget)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
