@@ -24,7 +24,7 @@
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -97,14 +97,13 @@ def brute_force_secrecy_optimum(evaluator: SecrecyEvaluator) -> tuple[int, float
 class AnnealingSchedule:
     """Geometric cooling schedule.
 
-    The initial temperature must be positive and finite.  cooling_factor
-    defaults to the rate that takes the temperature down three decades
-    across the run; an explicit factor must sit in (0, 1).
+    The initial temperature must be positive and finite.  The cooling
+    factor is derived: the rate that takes the temperature to 1e-3 across
+    the run (three decades from the default 1.0), clamped below 1.
     """
 
     initial_temperature: float = 1.0
     steps: int = 1_000_000
-    cooling_factor: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not 0.0 < self.initial_temperature < math.inf:
@@ -112,12 +111,10 @@ class AnnealingSchedule:
                              f"got {self.initial_temperature}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.cooling_factor is None:
-            steps = max(self.steps, 1)
-            factor = (1e-3 / self.initial_temperature) ** (1.0 / steps)
-            object.__setattr__(self, "cooling_factor", min(factor, 1.0 - 1e-15))
-        elif not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling factor must be in (0, 1)")
+
+    @property
+    def cooling_factor(self) -> float:
+        return min((1e-3 / self.initial_temperature) ** (1.0 / max(self.steps, 1)), 1.0 - 1e-15)
 
 
 # steps whose draws are turned into Python lists at a time (about 160 KiB)

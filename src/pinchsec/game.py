@@ -31,19 +31,19 @@ current mask S from table(S), built on first need, and keeps S's moves
 until S flips.  Every member's scores come from table(S), and so do the
 outsiders'.  An outsider n's payoff in
 S + n is the weighted sum over subsets T of S of v(T + n) - v(T), so it
-needs only the row v(T + n), half of the table of S + n.  The rows of a
-chunk of outsiders come from one pass of the kernel, with n's
-coefficient added in its ascending place, so each payoff and leave score
-equals the one the full table of S + n gives, bit for bit.  A chunk's
-rows hold at most 2^13 entries in all, or are one row past that.  A flip
+needs only the row v(T + n), half of the table of S + n.  The rows come
+from the kernel with n's coefficient added in its ascending place, so
+each payoff and leave score equals the one the full table of S + n
+gives, bit for bit: a chunk of outsiders in one pass of at most 2^13
+entries in all, or one row past that through the block walk.  A flip
 hands the next mask its table: table(S) without the leaving member's
 entries, or table(S) and the joining outsider's row side by side.
 
-Scoring an outsider from table(S) peaks at 52 B x 2^|S| at |S| = 14 and
-49 B at 18, mostly the four planes of its row's sums; the full table of
-S + n peaks at 68 and 33 B (tracemalloc).  A scan keeps table(S), the last
-chunk's rows and the next mask's table, so all of it stays under 1 GiB at
-the |S| = 24 cap; an outsider of 24 members is refused before any buffer.
+Scoring an outsider from table(S) peaks at 48 B x 2^|S| at |S| = 14 and
+32 B at 18 and 22: its row, the weights and the two temporaries of its
+sum (tracemalloc).  A scan keeps table(S), the last chunk's rows and the
+next mask's table, so all of it stays under 1 GiB at the |S| = 24 cap;
+an outsider of 24 members is refused before any buffer.
 """
 
 import math
@@ -90,10 +90,14 @@ def _outsider_weights(size: int) -> np.ndarray:
     """Weight of every subset of a coalition of the given size, as a subset
     of one of size + 1: the terms of an outsider's payoff, and of a member's
     payoff in a coalition of size + 1, where it is an outsider of the rest.
-    Kept up to _BLOCK_BITS members, as the evaluator keeps its rho rows."""
+    Stacked from block rows, one per count of members past the block, as
+    the evaluator's rho rows are, and kept up to _BLOCK_BITS members."""
     weights = _OUTSIDER_WEIGHTS.get(size)
     if weights is None:
-        weights = np.array(_subset_weights(size + 1))[coalitions.subset_sizes(size)]
+        low = min(size, _BLOCK_BITS)
+        by_size = np.array(_subset_weights(size + 1))
+        rows = by_size[np.arange(size - low + 1)[:, None] + coalitions.subset_sizes(low)]
+        weights = rows[coalitions.subset_sizes(size - low)].reshape(-1)
         weights.flags.writeable = False
         if size <= _BLOCK_BITS:
             _OUTSIDER_WEIGHTS[size] = weights

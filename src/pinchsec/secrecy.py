@@ -9,6 +9,7 @@ legitimate link's rate minus the eavesdropper's, not clamped at zero.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
@@ -124,8 +125,9 @@ class SecrecyEvaluator:
     def _subset_sums(self, rows, planes, joining=()) -> None:
         """Coefficient sums of every subset of the given antennas into planes
         (bob re, eve re, bob im, eve im) of shape (4, len(joining) or 1,
-        2^len(rows)), doubling one contiguous block per antenna: bit k of an
-        index stands for rows[k], and each sum adds its antennas in order.
+        2^len(rows)), doubling one contiguous block per antenna, on at most
+        one block (2^13 entries a plane): bit k of an index stands for
+        rows[k], and each sum adds its antennas in order.
 
         With joining antennas (ascending, none in rows) there is one row of
         sums per joining antenna n, each sum also adding n in its ascending
@@ -147,17 +149,11 @@ class SecrecyEvaluator:
             planes[:, joined:] += joined_coeffs[:, joined:]
 
     def _rho_row(self, size: int, added: int) -> np.ndarray:
-        """rho for every subset index of size antennas, by subset size +
-        added, the antennas that join each subset.  Kept up to
-        2^_BLOCK_BITS entries, where building the row costs as much as
-        using it.
-        """
-        row = self._rho_rows.get((size, added))
-        if row is None:
-            row = self._rho[added:][coalitions.subset_sizes(size)]
-            if size <= _BLOCK_BITS:
-                self._rho_rows[size, added] = row
-        return row
+        """rho for every subset index of size antennas (at most a block), by
+        subset size + added, the antennas that join each subset.  Cached."""
+        if (size, added) not in self._rho_rows:
+            self._rho_rows[size, added] = self._rho[added:][coalitions.subset_sizes(size)]
+        return self._rho_rows[size, added]
 
     def subset_values(self, mask: int, joining=None) -> np.ndarray:
         """v over every subset of a mask, as one array of 2^|mask| entries.
@@ -170,20 +166,33 @@ class SecrecyEvaluator:
 
         With joining antennas (ascending, outside the mask) there is one row
         per joining antenna n instead, indexed the same way: entry i of n's
-        row is self(sub + n), bit for bit.  The rows come from one pass of
-        _subset_sums, at 41-48 bytes per entry.
+        row is self(sub + n), bit for bit.  Rows of 2^13 entries in all come
+        from one pass of _subset_sums, longer ones one by one from _blocks,
+        peaking at 40 bytes per entry at 14 members, 14 at 18 and 9 at 22.
+
+        Joining antennas must ascend within range, outside the mask (else
+        ValueError); a table past ENUMERATION_CAP, a joined antenna counted,
+        raises CapacityError.  Both are checked before any buffer.
         """
         if mask < 0 or mask >= (1 << self._n):
             raise ValueError("coalition mask out of range")
         members = coalitions.members(mask)
-        if joining is not None:
+        if joining is not None and not (all(map(lt, (-1, *joining), (*joining, self._n)))
+                                        and set(joining).isdisjoint(members)):
+            raise ValueError(f"joining antennas {list(joining)} must ascend within "
+                             f"0..{self._n - 1}, outside the mask")
+        if len(members) + bool(joining) > coalitions.ENUMERATION_CAP:
+            raise coalitions.CapacityError(f"a table over {len(members)} members"
+                                           f"{' and a joined antenna' if joining else ''} exceeds the cap")
+        if joining is not None and len(joining) << len(members) <= 1 << _BLOCK_BITS:
             sums = np.empty((4, len(joining), 1 << len(members)))
             self._subset_sums(members, sums, joining)
             return secrecy_from_snr(_snr(sums, self._rho_row(len(members), 1), sums))
-        table = np.empty(1 << len(members))
-        for first, snr, _ in self._blocks(members):
-            secrecy_from_snr(snr, out=table[first:first + snr.shape[1]])
-        return table
+        rows = np.empty((1 if joining is None else len(joining), 1 << len(members)))
+        for row, n in zip(rows, [None] if joining is None else joining):
+            for first, snr, _ in self._blocks(members, n):
+                secrecy_from_snr(snr, out=row[first:first + snr.shape[1]])
+        return rows[0] if joining is None else rows
 
     def snr_blocks(self):
         """The kernel's SNR stage for every mask, in blocks of 2^13 masks.
@@ -205,9 +214,10 @@ class SecrecyEvaluator:
                 f"exhaustive search over 2^{self._n} masks exceeds the enumeration cap")
         return self._blocks(range(self._n))
 
-    def _blocks(self, members):
+    def _blocks(self, members, joined=None):
         """snr_blocks' walk over every subset of the ascending members; bit
-        i of a yielded index stands for members[i].
+        i of a yielded index stands for members[i].  With a joined antenna n
+        (not a member), every sum also adds n in its ascending place.
 
         A block spans the lowest 13 members.  Blocks come in prefix order of
         the members above, so each block's sums are its parent's plus its
@@ -217,18 +227,25 @@ class SecrecyEvaluator:
         member is the last, or it is the only block) goes to the square.
         Each count of high members set has its rho row (64 KiB), kept by
         _rho_row.
+
+        If no high member is below n, n joins the root's doubling.  Else the
+        block whose highest member is its only one above n adds n just
+        before it (one more add), and a block with none adds n into the square.
         """
         low, high = members[:_BLOCK_BITS], members[_BLOCK_BITS:]
         width = 1 << len(low)
+        added = joined is not None
+        place = bisect_left(high, joined) if added else 0   # 0: no n, or n joins the root
         # built once per walk: a column per high member and one buffer for
         # the stack.  The square comes after the root's sums, so numpy's
         # buffers for their doublings (about 190 KiB) are gone; a square
         # inside the stack's buffer slowed the search's ranking by 8-9% at
         # n = 20 and 24
         columns = [self._coeffs[:, m, None] for m in high]
+        column = self._coeffs[:, joined, None] if place else None
         levels = list(np.empty((len(high), 4, width)))
         root = levels[0] if high else np.empty((4, width))
-        self._subset_sums(low, root[:, None])
+        self._subset_sums(low, root[:, None], () if place or not added else (joined,))
         square = np.empty((4, width)) if high else root
         spare = square[2:]
         todo = [(0, -1)]   # (high members set, highest of them; -1 if none)
@@ -238,8 +255,13 @@ class SecrecyEvaluator:
             sums = root
             if depth:
                 level = square if top == len(high) - 1 else levels[depth]
-                sums = np.add(levels[depth - 1], columns[top], out=level)
-            yield high_set << len(low), _snr(sums, self._rho_row(len(low), depth), square), spare
+                parent = levels[depth - 1]
+                if place and (high_set >> place).bit_count() == 1:
+                    parent = np.add(parent, column, out=level)
+                sums = np.add(parent, columns[top], out=level)
+            if place and not high_set >> place:
+                sums = np.add(sums, column, out=square)
+            yield high_set << len(low), _snr(sums, self._rho_row(len(low), depth + added), square), spare
             # the children add one member above top; the lowest is drawn first
             todo.extend((high_set | 1 << k, k) for k in range(len(high) - 1, top, -1))
 

@@ -149,8 +149,8 @@ def one_shot_table(bob_coeffs, eve_coeffs, budget) -> np.ndarray:
 
     The exhaustive search as a single array: rows of (bob re, bob im, eve
     re, eve im) sums, doubled one antenna at a time in index order, then
-    rho by popcount and numpy's log1p.  Entry 0 is -inf.  Holds 48 bytes
-    per mask at its peak.
+    rho by popcount (counted alongside) and numpy's log1p.  Entry 0 is
+    -inf.  Holds about 64 bytes per mask at its peak.
     """
     n = len(bob_coeffs)
     coeffs = np.array([(complex(b).real, complex(b).imag, complex(e).real, complex(e).imag)
@@ -158,11 +158,13 @@ def one_shot_table(bob_coeffs, eve_coeffs, budget) -> np.ndarray:
     power_w, noise_w = budget.transmit_power_w, budget.noise_power_w
     rho = np.array([0.0] + [power_w / (k * noise_w) for k in range(1, n + 1)])
     sums = np.zeros((1 << n, 4))
+    sizes = np.zeros(1 << n, dtype=np.intp)
     for k in range(n):
         np.add(sums[:1 << k], coeffs[k], out=sums[1 << k:2 << k])
+        np.add(sizes[:1 << k], 1, out=sizes[1 << k:2 << k])
     sums *= sums
     rates = sums[:, 0::2] + sums[:, 1::2]
-    rates *= rho[coalitions.subset_sizes(n)][:, None]
+    rates *= rho[sizes][:, None]
     np.log1p(rates, out=rates)
     rates *= 1.0 / math.log(2.0)
     values = rates[:, 0] - rates[:, 1]

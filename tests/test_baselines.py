@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -284,17 +285,12 @@ def test_schedule_validation():
         AnnealingSchedule(initial_temperature=0.0)
     with pytest.raises(ValueError):
         AnnealingSchedule(steps=-1)
-    with pytest.raises(ValueError):
-        AnnealingSchedule(cooling_factor=1.0)
-    with pytest.raises(ValueError):
-        AnnealingSchedule(cooling_factor=0.0)
     # NaN would make every worse move a rejection; inf turns into NaN
     # after one cooling step (inf * factor, then inf / inf)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             AnnealingSchedule(bad, 100)
     AnnealingSchedule(steps=0)          # zero steps is a legal no-op run
-    AnnealingSchedule(cooling_factor=0.5)
 
 
 def test_annealing_zero_steps_returns_start():
@@ -367,6 +363,15 @@ def _cools_to_zero(schedule):
     return temperature == 0.0
 
 
+class _Schedule(NamedTuple):
+    """A schedule with a chosen cooling factor, which AnnealingSchedule
+    derives: the walk reads only these three attributes."""
+
+    initial_temperature: float
+    steps: int
+    cooling_factor: float
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 64),
        steps=st.sampled_from([0, 1, 2, _WALK_CHUNK - 1, _WALK_CHUNK, _WALK_CHUNK + 1])
@@ -376,7 +381,9 @@ def _cools_to_zero(schedule):
        scale=st.sampled_from([1e-3, 1.0, 1e3]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_annealing_equals_the_loop_oracle(n, steps, temperature, cooling, scale, seed):
-    schedule = AnnealingSchedule(temperature, steps, cooling)
+    schedule = AnnealingSchedule(temperature, steps)
+    if cooling is not None:
+        schedule = _Schedule(temperature, steps, cooling)
     # the oracle divides by the temperature, so it cannot run a schedule
     # that cools to zero; test_annealing_at_zero_temperature covers those
     assume(not _cools_to_zero(schedule))
@@ -419,16 +426,24 @@ def test_annealing_calls_v_once_per_distinct_mask():
     assert set(calls.values()) == {1}
 
 
+def test_schedule_cooling_factor_is_derived():
+    with pytest.raises(TypeError):
+        AnnealingSchedule(1.0, 100, cooling_factor=0.5)
+    with pytest.raises(AttributeError):
+        AnnealingSchedule().cooling_factor = 0.5
+    # below 1e-3 the rate would warm; it is clamped just below 1
+    assert AnnealingSchedule(1e-4, 100).cooling_factor == 1.0 - 1e-15
+
+
 def test_annealing_at_zero_temperature():
     # 1e-200 squared underflows, so from the third step on T = 0
     *_, v = _drop_evaluator(seed=9, n=6)
-    mask, value = simulated_annealing(v, 6, AnnealingSchedule(1.0, 100, cooling_factor=1e-200),
-                                      seed=1)
+    mask, value = simulated_annealing(v, 6, _Schedule(1.0, 100, 1e-200), seed=1)
     assert value == v(mask)
     # at T = 0 a worse move is rejected, the limit of exp(dv / T); the
     # oracle at the smallest positive T clamps every worse move's exponent
     # and so accepts one only on a uniform draw of exactly 0.0
-    frozen = AnnealingSchedule(5e-324, 3000, cooling_factor=0.5)
+    frozen = _Schedule(5e-324, 3000, 0.5)
     with pytest.raises(ZeroDivisionError):
         loop_annealing(v, 6, frozen, seed=2)
     trace, oracle_trace = [], []

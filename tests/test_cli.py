@@ -74,9 +74,16 @@ def test_single_drop_command(capsys):
 
 
 def test_single_drop_prints_the_golden_walkthrough(capsys):
-    assert main(["single-drop", "--antennas", "8", "--seed", "42"]) == 0
-    golden = Path(__file__).parent / "data" / "single_drop_n8_seed42.txt"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    for args, name in [
+        (["--antennas", "8", "--seed", "42"], "single_drop_n8_seed42.txt"),
+        # a final coalition of 18 members: outsiders are scored at 14-17,
+        # past one block of the evaluator's walk
+        (["--antennas", "48", "--seed", "1", "--power", "0", "--trial", "0"],
+         "single_drop_n48_seed1_power0.txt"),
+    ]:
+        assert main(["single-drop", *args]) == 0
+        golden = Path(__file__).parent / "data" / name
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), name
 
 
 @pytest.mark.parametrize("flag", [

@@ -106,34 +106,61 @@ def _evaluator(n, seed, power_dbm):
     return layout, drop, v
 
 
+@st.composite
+def table_cases(draw):
+    """(antennas, ascending members, joined antenna or None, 32 table indices)"""
+    size = draw(st.integers(1, 12) | st.integers(13, 18))
+    joins = draw(st.booleans())
+    n = draw(st.integers(size + joins, max(size + joins, 12 if size <= 12 else 24)))
+    order = draw(st.permutations(range(n)))
+    sample = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=32, max_size=32))
+    return n, sorted(order[:size]), order[size] if joins else None, sample
+
+
 # up to 12 members a table is one block; 13-18 members, dense or spread
-# over up to 24 antennas, take 1-32 blocks of the block walk
+# over up to 24 antennas, take 1-32 blocks of the block walk.  A joined
+# antenna's row takes one pass of the doubling up to 13 members, and the
+# walk past that.  The examples are rows of 14-20 members with the joined
+# antenna below the members past the block (into the block's own
+# doubling, and after it), among them, and above them all
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 12) | st.integers(13, 18), st.integers(0, 2 ** 32 - 1),
-       st.floats(-10.0, 40.0), st.data())
-def test_subset_table_equals_the_evaluator_exactly(size, seed, power_dbm, data):
-    n = data.draw(st.integers(size, 12 if size <= 12 else 24))
+@given(table_cases(), st.integers(0, 2 ** 32 - 1), st.floats(-10.0, 40.0))
+@example((40, [*range(0, 26, 2), 27], 5, []), 7, 10.0)                          # 14, below
+@example((40, [*range(13), 20, 22], 16, []), 7, 10.0)                           # 15, below
+@example((40, [*range(13), 15, 18, 20], 16, []), 7, 10.0)                       # 16, among
+@example((40, [*range(0, 26, 2), 27, 29, 31, 33], 35, []), 7, 10.0)             # 17, above
+@example((40, [*range(13), *range(14, 24, 2)], 13, []), 7, 10.0)                # 18, below
+@example((40, [*range(0, 26, 2), 26, 27, 29, 30, 32, 33], 28, []), 7, 10.0)     # 19, among
+@example((40, [*range(13), *range(16, 23)], 23, []), 7, 10.0)                   # 20, above
+def test_subset_table_equals_the_evaluator_exactly(case, seed, power_dbm):
+    n, members, joined, sample = case
     layout, drop, v = _evaluator(n, seed, power_dbm)
-    members = sorted(data.draw(st.permutations(range(n)))[:size])
     mask = from_members(members)
-    table = v.subset_values(mask)
-    assert table.shape == (1 << size,)
-    assert table[0] == 0.0
-    hb = channel_vector(SCENARIO, layout, drop.bob)[members]
-    he = channel_vector(SCENARIO, layout, drop.eve)[members]
+    if joined is None:
+        table, over, extra = v.subset_values(mask), members, 0
+    else:
+        table, over, extra = v.subset_values(mask, [joined])[0], sorted([*members, joined]), 1 << joined
+    assert table.shape == (1 << len(members),)
+    hb = channel_vector(SCENARIO, layout, drop.bob)[over]
+    he = channel_vector(SCENARIO, layout, drop.eve)[over]
     oracle = one_shot_table(hb, he, LinkBudget(power_dbm, SCENARIO.noise_power_dbm))
-    assert table[1:].tobytes() == oracle[1:].tobytes()
+    if joined is None:
+        assert table[0] == 0.0
+        assert table[1:].tobytes() == oracle[1:].tobytes()
+    else:
+        # the oracle's entries that hold the joined antenna, in table order
+        place = over.index(joined)
+        assert table.tobytes() == oracle.reshape(-1, 2, 1 << place)[:, 1].tobytes()
     # every entry of a small table, and past that the block edges and a
     # sample, against scalar lookups, also on an evaluator that built no table
     if table.size <= 1 << 12:
         spots = range(table.size)
     else:
         edges = [k << 13 for k in range(table.size >> 13)]
-        spots = edges + [e - 1 for e in edges[1:]] + [table.size - 1] + data.draw(
-            st.lists(st.integers(0, table.size - 1), min_size=32, max_size=32))
+        spots = edges + [e - 1 for e in edges[1:]] + [table.size - 1] + sample
     fresh = _evaluator(n, seed, power_dbm)[2]
     for local in spots:
-        sub = from_members(m for i, m in enumerate(members) if local >> i & 1)
+        sub = from_members(m for i, m in enumerate(members) if local >> i & 1) | extra
         assert table[local] == v(sub) == fresh(sub)
 
 
@@ -154,12 +181,53 @@ def test_plain_table_past_one_block_holds_at_most_20_bytes_per_entry():
     assert peak <= 20 * 2 ** 18
 
 
+def test_outsider_score_past_one_block_holds_at_most_40_bytes_per_entry():
+    # the same 18 members, and an outsider among the members past the
+    # block.  Its row (8 B an entry), the weights (8 B) and the two
+    # temporaries of the payoff's sum (8 B each) come to about 32 B an
+    # entry; doubling the whole row at once held about 49
+    _, _, v = _evaluator(24, 3, 10.0)
+    mask = from_members(range(0, 24, 4)) | from_members(range(1, 24, 2))
+    table = v.subset_values(mask)
+    tracemalloc.start()
+    try:
+        _outsider_scores(v, mask, table, [18])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 18
+
+
 def test_subset_table_leaves_the_memo_alone():
     _, _, v = _evaluator(10, 5, 10.0)
     v.subset_values((1 << 10) - 1)
     assert v._memo == {0: 0.0}
     with pytest.raises(ValueError):
         v.subset_values(1 << 10)
+
+
+# on 4 antennas and the mask {0, 1}: a member, a negative index, an
+# unsorted list, a repeat, an index past the antennas
+@pytest.mark.parametrize("joining", [[1], [-1], [3, 2], [2, 2], [9]])
+def test_subset_table_refuses_bad_joining_antennas(joining):
+    _, _, v = _evaluator(4, 5, 10.0)
+    with pytest.raises(ValueError, match="joining"):
+        v.subset_values(0b11, joining)
+    assert v.subset_values(0b11, [2, 3]).shape == (2, 4)
+
+
+def test_subset_table_past_the_cap_is_refused_before_any_buffer():
+    _, _, v = _evaluator(26, 5, 10.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            v.subset_values((1 << ENUMERATION_CAP + 1) - 1)
+        with pytest.raises(CapacityError):
+            v.subset_values((1 << ENUMERATION_CAP) - 1, [ENUMERATION_CAP])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("size", [11, 12, 13])
