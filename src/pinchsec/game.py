@@ -39,11 +39,12 @@ entries in all, or one row past that through the block walk.  A flip
 hands the next mask its table: table(S) without the leaving member's
 entries, or table(S) and the joining outsider's row side by side.
 
-Scoring an outsider from table(S) peaks at 48 B x 2^|S| at |S| = 14 and
-32 B at 18 and 22: its row, the weights and the two temporaries of its
-sum (tracemalloc).  A scan keeps table(S), the last chunk's rows and the
-next mask's table, so all of it stays under 1 GiB at the |S| = 24 cap;
-an outsider of 24 members is refused before any buffer.
+Every payoff is one weighted sum (_weighted_sums).  Scoring an outsider
+from table(S) peaks at 40 B x 2^|S| at |S| = 14, building its row, and
+16 B at 18 and 22: the row and its gains (tracemalloc).  A scan keeps
+table(S), the last chunk's rows and the next mask's table, so all of it
+stays under 1 GiB at the |S| = 24 cap; an outsider of 24 members is
+refused before any buffer.
 """
 
 import math
@@ -72,47 +73,51 @@ def _subset_weights(coalition_size: int) -> tuple[float, ...]:
 
 
 # coalitions up to this size take their payoffs through one cached gather
-# plan (264 KiB at 11); larger ones pair the table's halves member by member.
+# plan (176 KiB at 11); larger ones pair the table's halves member by member.
 # Process CPU per table in us, plan against loop, best of 5, range over 3
 # runs on a 2-core x86 host: 6.2-6.6/14-24 at 2 members, 3.6-6.7/25-45 at
 # 4, 7.5-13/51-91 at 8, 44-74/95-164 at 11, 224-403/152-247 at 12,
 # 427-717/242-353 at 13, 1031-1569/369-555 at 14.  Most tables have 2-8
 # members, where the loop's numpy calls (about 7 a member) cost 2-9x more.
-# The plan holds its weights gathered, one row per member: broadcasting a
-# single row over the members cost 0.6-1.5 us more per table at 2-8.
+# The plan holds no weights: _weighted_sums broadcasts one row over the
+# members, 0.3-1.1 us more per table at 1-8 than a gathered copy (median
+# of 7 rounds, 3 runs).
 _PLANNED_SIZE = 11
 
 
-_OUTSIDER_WEIGHTS: dict[int, np.ndarray] = {}
+@lru_cache(maxsize=None)
+def _weight_rows(size: int) -> np.ndarray:
+    """Weights of a coalition's subsets as subsets of one of size + 1, over a
+    block of its lowest min(size, _BLOCK_BITS) members: row d for blocks
+    with d members past the block, laid out as the evaluator's rho rows."""
+    low = min(size, _BLOCK_BITS)
+    by_size = np.array(_subset_weights(size + 1))
+    rows = by_size[np.arange(size - low + 1)[:, None] + coalitions.subset_sizes(low)]
+    rows.flags.writeable = False
+    return rows
 
 
-def _outsider_weights(size: int) -> np.ndarray:
-    """Weight of every subset of a coalition of the given size, as a subset
-    of one of size + 1: the terms of an outsider's payoff, and of a member's
-    payoff in a coalition of size + 1, where it is an outsider of the rest.
-    Stacked from block rows, one per count of members past the block, as
-    the evaluator's rho rows are, and kept up to _BLOCK_BITS members."""
-    weights = _OUTSIDER_WEIGHTS.get(size)
-    if weights is None:
-        low = min(size, _BLOCK_BITS)
-        by_size = np.array(_subset_weights(size + 1))
-        rows = by_size[np.arange(size - low + 1)[:, None] + coalitions.subset_sizes(low)]
-        weights = rows[coalitions.subset_sizes(size - low)].reshape(-1)
-        weights.flags.writeable = False
-        if size <= _BLOCK_BITS:
-            _OUTSIDER_WEIGHTS[size] = weights
-    return weights
+def _weighted_sums(gains: np.ndarray) -> np.ndarray:
+    """Each row's payoff from its gains over a coalition's subsets, in table
+    order: every gain times its subset's weight, in place, then one sum.
+    gains is C-contiguous, so its blocks are views."""
+    rows = _weight_rows(gains.shape[1].bit_length() - 1)
+    if len(rows) == 1:
+        gains *= rows[0]
+    else:
+        blocks = gains.reshape(len(gains), -1, rows.shape[1])
+        for b, depth in enumerate(coalitions.subset_sizes(len(rows) - 1)):
+            blocks[:, b] *= rows[depth]
+    return gains.sum(axis=1)
 
 
 @lru_cache(maxsize=None)
-def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per member i: the indices with bit i set, the same without it, and
-    the weight of each pair (by the size of the subset without i), gathered
-    so that the payoff arithmetic reads three arrays of one shape."""
+def _payoff_plan(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per member i: the indices with bit i set and the same without it,
+    gathered so that the payoff arithmetic reads arrays of one shape."""
     index = np.arange(1 << size)
     without = np.array([index[index >> i & 1 == 0] for i in range(size)])
-    weights = np.tile(_outsider_weights(size - 1), (size, 1))
-    plan = (without | (1 << np.arange(size))[:, None], without, weights)
+    plan = (without | (1 << np.arange(size))[:, None], without)
     for part in plan:
         part.flags.writeable = False
     return plan
@@ -126,14 +131,10 @@ def _member_payoffs(table: np.ndarray) -> np.ndarray:
     """
     size = table.size.bit_length() - 1
     if size <= _PLANNED_SIZE:
-        with_member, without, weights = _payoff_plan(size)
-        return ((table[with_member] - table[without]) * weights).sum(axis=1)
-    weights = _outsider_weights(size - 1)
-    payoffs = np.empty(size)
-    for i in range(size):
-        pairs = table.reshape(-1, 2, 1 << i)
-        payoffs[i] = np.sum(weights.reshape(-1, 1 << i) * (pairs[:, 1, :] - pairs[:, 0, :]))
-    return payoffs
+        with_member, without = _payoff_plan(size)
+        return _weighted_sums(table[with_member] - table[without])
+    halves = (table.reshape(-1, 2, 1 << i) for i in range(size))
+    return np.concatenate([_weighted_sums((h[:, 1] - h[:, 0]).reshape(1, -1)) for h in halves])
 
 
 def _check_size(size: int) -> None:
@@ -178,9 +179,8 @@ def _outsider_scores(v: SecrecyEvaluator, coalition: int, table: np.ndarray,
     order, and its leave score is v(C) - v(C + n); both equal n's scores in
     _coalition_scores(v, coalition + n) bit for bit.
     """
-    weights = _outsider_weights(table.size.bit_length() - 1)
     joined = v.subset_values(coalition, outsiders)
-    return ((joined - table) * weights).sum(axis=1), table[-1] - joined[:, -1], joined
+    return _weighted_sums(joined - table), table[-1] - joined[:, -1], joined
 
 
 def _local_index(coalition: int, antenna: int) -> int:

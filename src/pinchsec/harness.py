@@ -290,7 +290,7 @@ def _result_row(method: str, sweep_value: float, trial: Trial, outcome: Outcome,
 def _evaluate_trial(args) -> tuple[list, list]:
     """Run the study's methods on one drop.  Top level so it pickles.
 
-    A coalition past ENUMERATION_CAP (24) members aborts the study with a
+    A coalition past ENUMERATION_CAP members aborts the study with a
     CapacityError naming the method, sweep point, trial and drop seed.
     """
     kind, config, sweep_idx, trial_idx = args
@@ -355,6 +355,10 @@ def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
         if limit is not None and most > limit:
             raise CapacityError(f"{method} supports at most {limit} antennas; "
                                 f"this study needs it at {most}")
+    if kind == "convergence" and methods[-1] == "annealing":
+        warnings.warn(f"{most} antennas exceeds the exhaustive limit "
+                      f"({METHODS['brute-force'].max_antennas}); using simulated annealing "
+                      "as the reference", RuntimeWarning, stacklevel=3)
 
     tasks = [(kind, config, j, t) for j in range(len(points)) for t in range(config.trials)]
     # a pool forks all its workers at once, so never more than there are tasks
@@ -392,10 +396,6 @@ def run_convergence_study(config: ExperimentConfig) -> StudyResult:
     annealing beyond, with a warning), and scores every row against the
     reference's.
     """
-    limit = METHODS["brute-force"].max_antennas
-    if config.n_antennas > limit:
-        warnings.warn(f"{config.n_antennas} antennas exceeds the exhaustive limit ({limit}); "
-                      "using simulated annealing as the reference", RuntimeWarning, stacklevel=2)
     return _run_study("convergence", config)
 
 

@@ -231,6 +231,27 @@ def loop_payoff(v, coalition, member):
     return total
 
 
+def full_weighted_sums(gains):
+    """Each row's payoff from its gains over a coalition's subsets (oracle).
+
+    Reference for the package's block-wise weighting: every gain times the
+    weight _subset_weights gives its own subset's bit count, over the whole
+    row at once, then one sum over the row.
+    """
+    size = gains.shape[1].bit_length() - 1
+    counts = np.zeros(1 << size, dtype=np.intp)
+    for k in range(size):
+        np.add(counts[:1 << k], 1, out=counts[1 << k:2 << k])
+    return (gains * np.array(_subset_weights(size + 1))[counts]).sum(axis=1)
+
+
+def full_weights_member_payoffs(table):
+    """Every member's payoff from a subset table through full_weighted_sums (oracle)."""
+    size = table.size.bit_length() - 1
+    halves = [table.reshape(-1, 2, 1 << i) for i in range(size)]
+    return np.concatenate([full_weighted_sums((h[:, 1] - h[:, 0]).reshape(1, -1)) for h in halves])
+
+
 def scalar_rule(v):
     """The payoff game's move rule with scalar stay-out and leave scores (oracle).
 

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -345,8 +346,12 @@ def test_annealing_past_64_antennas_is_refused_before_any_trial(monkeypatch, stu
         raise AssertionError("no trial should run")
 
     monkeypatch.setattr(harness, "_evaluate_trial", no_trial)
-    with pytest.raises(ValueError, match="at most 64"):
-        study(ExperimentConfig(trials=1, sa_steps=10, **kwargs))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="at most 64"):
+            study(ExperimentConfig(trials=1, sa_steps=10, **kwargs))
+    # a convergence study past the exhaustive limit warns only once it can run
+    assert caught == []
 
 
 @pytest.mark.parametrize("methods", [("annealing",), ("shapley", "coalition-value")])

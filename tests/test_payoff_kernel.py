@@ -23,10 +23,10 @@ from pinchsec import (
     uniform_layout,
 )
 from pinchsec.coalitions import ENUMERATION_CAP
-from pinchsec.game import (_chunk_rows, _coalition_scores, _outsider_scores, _payoff_rule, _scan,
-                           _with_member, _without_member)
-from helpers import (ValueTable, from_members, is_nash_stable, loop_payoff, one_shot_table,
-                     permutation_payoff, scalar_rule)
+from pinchsec.game import (_chunk_rows, _coalition_scores, _member_payoffs, _outsider_scores,
+                           _payoff_rule, _scan, _with_member, _without_member)
+from helpers import (ValueTable, from_members, full_weighted_sums, full_weights_member_payoffs,
+                     is_nash_stable, loop_payoff, one_shot_table, permutation_payoff, scalar_rule)
 
 SCENARIO = Scenario()
 
@@ -181,11 +181,11 @@ def test_plain_table_past_one_block_holds_at_most_20_bytes_per_entry():
     assert peak <= 20 * 2 ** 18
 
 
-def test_outsider_score_past_one_block_holds_at_most_40_bytes_per_entry():
+def test_outsider_score_past_one_block_holds_at_most_20_bytes_per_entry():
     # the same 18 members, and an outsider among the members past the
-    # block.  Its row (8 B an entry), the weights (8 B) and the two
-    # temporaries of the payoff's sum (8 B each) come to about 32 B an
-    # entry; doubling the whole row at once held about 49
+    # block.  Its row (8 B an entry) and the gains weighted in place (8 B)
+    # come to about 16 B an entry; full-size weights and a weighted copy
+    # would add 16 more
     _, _, v = _evaluator(24, 3, 10.0)
     mask = from_members(range(0, 24, 4)) | from_members(range(1, 24, 2))
     table = v.subset_values(mask)
@@ -195,7 +195,46 @@ def test_outsider_score_past_one_block_holds_at_most_40_bytes_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2 ** 18
+    assert peak <= 20 * 2 ** 18
+
+
+def test_member_payoffs_past_one_block_hold_at_most_6_bytes_per_table_entry():
+    # 18 members, caches warm as in a scan: one member's gains at a time
+    # (4 B per table entry), weighted in place by block rows; full-size
+    # weights and a weighted copy would add 4 more
+    table = np.random.default_rng(3).normal(size=1 << 18)
+    _member_payoffs(table)
+    tracemalloc.start()
+    try:
+        _member_payoffs(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 18
+
+
+@pytest.mark.parametrize("size", range(12, 21))
+def test_member_payoffs_equal_the_full_weights_oracle(size):
+    # the member loop: each member's gains span one block up to 14
+    # members and 2-64 blocks at 15-20
+    rng = np.random.default_rng(size)
+    table = rng.normal(size=1 << size) * 10.0 ** rng.uniform(-3, 3, size=1 << size)
+    assert _member_payoffs(table).tobytes() == full_weights_member_payoffs(table).tobytes()
+
+
+# 13 low members 0, 2, ..., 24, then 1-6 past the block from 27 on; the
+# outsider sits below them (25), among them (28) or above them all
+@pytest.mark.parametrize("size, where", [(size, where) for size in range(14, 20)
+                                         for where in ("below", "among", "above")
+                                         if size > 14 or where != "among"])
+def test_outsider_payoffs_equal_the_full_weights_oracle(size, where):
+    high = list(range(27, 27 + 2 * (size - 13), 2))
+    outsider = {"below": 25, "among": 28, "above": high[-1] + 1}[where]
+    _, _, v = _evaluator(40, size, 10.0)
+    mask = from_members([*range(0, 26, 2), *high])
+    table = v.subset_values(mask)
+    payoffs, _, joined = _outsider_scores(v, mask, table, [outsider])
+    assert payoffs.tobytes() == full_weighted_sums(joined - table).tobytes()
 
 
 def test_subset_table_leaves_the_memo_alone():
