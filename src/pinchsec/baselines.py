@@ -8,11 +8,9 @@
   6.1-9.2 and 96-138 ms (process CPU time per drop on a 2-core shared
   host, whose speed drifted that much between runs);
 * simulated annealing over subsets (scales past the exhaustive limit),
-  which skips in numpy the steps a frozen state surely rejects: at 28
-  antennas and 20 dBm a walk takes 5-19 ms at 10^5 steps and 123-174 ms
-  at 10^6 (process CPU time per drop on a 2-core host), against 30-43
-  and 313-550 ms for the walk that ran every step in Python, with the
-  same choices;
+  which skips in numpy the steps a quiet, frozen state surely rejects: on
+  28 antennas a walk takes 7-8 ms at 20 dBm and 55-61 at 0 dBm for 10^5
+  steps, 54-62 and 561-643 ms for 10^6 (process CPU per drop, 2-core host);
 * the activation game's scan with a value-only move rule: an antenna
   flips when the flip strictly raises the coalition value, instead of on
   payoff comparisons;
@@ -24,6 +22,7 @@
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +32,7 @@ from .channel import wavelengths
 from .coalitions import full_mask
 from .game import DEFAULT_MAX_CYCLES, GameTrace, ValueFunction, _scan
 from .geometry import AntennaLayout, Drop, Scenario
-from .secrecy import LinkBudget, SecrecyEvaluator, link_rate, secrecy_from_snr
+from .secrecy import LinkBudget, SecrecyEvaluator, _link_rates, secrecy_from_snr
 
 # annealing draws its start as one unsigned 64-bit mask
 ANNEALING_MAX_ANTENNAS = 64
@@ -93,6 +92,16 @@ def brute_force_secrecy_optimum(evaluator: SecrecyEvaluator) -> tuple[int, float
     return mask, rb - re, rb, re
 
 
+def _integer(name: str, value) -> int:
+    """A Python or numpy integer as an int; ValueError naming the field for anything else."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """Geometric cooling schedule.
@@ -109,6 +118,7 @@ class AnnealingSchedule:
         if not 0.0 < self.initial_temperature < math.inf:
             raise ValueError(f"initial temperature must be positive and finite, "
                              f"got {self.initial_temperature}")
+        object.__setattr__(self, "steps", _integer("steps", self.steps))
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
 
@@ -119,6 +129,10 @@ class AnnealingSchedule:
 
 # steps whose draws are turned into Python lists at a time (about 160 KiB)
 _WALK_CHUNK = 4096
+
+# a state counts its unseen neighbours once its last _QUIET_RUN proposals all
+# hit seen masks; walks of 10 to 28 antennas ran fastest at runs of 40 to 128
+_QUIET_RUN = 64
 
 # A frozen step's worse move is surely rejected when its uniform draw is at
 # least np.exp(max(dv / T, _EXP_CLAMP)) * (1 + _EXP_MARGIN).  Above the
@@ -161,7 +175,7 @@ def _frozen_steps(state: int, neighbour_dv, flips, temperatures, uniforms) -> in
     rejects: steps _surely_rejected marks, with neighbour_dv[k] the change
     in value of flipping k, and, from a lone antenna, its own flip, which
     would empty the coalition."""
-    rejected = _surely_rejected(neighbour_dv[flips], temperatures, uniforms)
+    rejected = _surely_rejected(neighbour_dv.take(flips), temperatures, uniforms)
     if not state & (state - 1):
         rejected |= flips == state.bit_length() - 1
     return len(rejected) if rejected.all() else int(rejected.argmin())
@@ -186,17 +200,25 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     masks, as a memoizing v does.
 
     Late in a walk the state freezes: every nonempty neighbour's value is
-    in the dict, and almost every step rejects.  From a frozen state the
+    in the dict, and almost every step rejects.  A state's unseen
+    neighbours are counted only once it has gone quiet (its last
+    _QUIET_RUN proposals all hit the dict); the count then follows each
+    new mask, and a move makes it unknown again.  From a frozen state the
     rest of the chunk is scanned in numpy (_frozen_steps) for the first
     step that is not surely rejected, and the steps before it are skipped.
-    That step, and every step from a state with an unseen neighbour, goes
-    through the scalar rule.  The scan is conservative: it skips a worse
-    move only if the draw is at least np.exp's acceptance bound times
-    1 + 1e-9, a million times any gap between np.exp and math.exp, and it
-    leaves draws of 0.0 and NaNs to the scalar rule.  So math.exp still
-    decides every move that could be accepted, and the draws, the v calls,
-    the temperatures (_temperatures) and the result are those of a plain
-    loop.  The scan's buffers hold one chunk of steps.
+    Each scan slices its chunk's temperatures, built once (_temperatures:
+    the loop's chain of products).  Every other step goes through the
+    scalar rule.  The scan is conservative: it skips a worse move only if
+    the draw is at least np.exp's acceptance bound times 1 + 1e-9, a
+    million times any gap between np.exp and math.exp, and it leaves draws
+    of 0.0 and NaNs to the scalar rule.  So math.exp still decides every
+    move that could be accepted, and the draws, the v calls, the
+    temperatures and the result are those of a plain loop.
+
+    Every flip is drawn before the first uniform, chunk by chunk into one
+    byte a step, and each chunk's uniforms as the walk reaches it: the
+    stream of one draw of each, held at 1 B a step and one chunk (2.2 MiB
+    at 10^6 steps and 28 antennas, tracemalloc).
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
@@ -215,53 +237,52 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     steps = schedule.steps
     if steps == 0:
         return best_state, best_value
-    flips = rng.integers(0, n_antennas, size=steps)
-    uniforms = rng.random(size=steps)
+    flips = np.empty(steps, dtype=np.uint8)
+    for first in range(0, steps, _WALK_CHUNK):
+        flips[first:first + _WALK_CHUNK] = rng.integers(0, n_antennas, min(_WALK_CHUNK, steps - first))
     temperature = schedule.initial_temperature
     factor = schedule.cooling_factor
     bits = [1 << k for k in range(n_antennas)]
     seen = {state: value}
     exp = math.exp
-
-    def unseen_neighbours(mask):
-        # the empty mask is never in seen, and is no neighbour
-        return len([b for b in bits if mask ^ b not in seen]) - (mask & (mask - 1) == 0)
-
-    unseen = unseen_neighbours(state)
+    # the state's unseen neighbours: None until it is quiet, from chunk step quiet_at on
+    unseen, quiet_at = None, _QUIET_RUN
     for first in range(0, steps, _WALK_CHUNK):
-        last = min(first + _WALK_CHUNK, steps)
-        i, count = 0, last - first
-        ks = us = None
+        count = min(_WALK_CHUNK, steps - first)
+        uniforms = rng.random(count)
+        i, start, temperatures, ks = 0, temperature, None, None
         while i < count:
-            if not unseen:
+            if unseen == 0:
                 # frozen: skip to the first step the scalar rule may accept
-                temperatures = _temperatures(temperature, factor, count - i)
-                neighbour_dv = np.array([seen.get(state ^ b, value) for b in bits])
-                neighbour_dv -= value
-                skipped = _frozen_steps(state, neighbour_dv, flips[first + i:last],
-                                        temperatures, uniforms[first + i:last])
+                if temperatures is None:
+                    temperatures = _temperatures(start, factor, count)
+                neighbour_dv = np.array([seen.get(state ^ b, value) for b in bits]) - value
+                skipped = _frozen_steps(state, neighbour_dv, flips[first + i:first + count],
+                                        temperatures[i:], uniforms[i:])
                 if best_trace is not None:
                     best_trace.extend([best_value] * skipped)
                 i += skipped
                 if i == count:
                     temperature = float(temperatures[-1]) * factor
                     break
-                temperature = float(temperatures[skipped])
+                temperature = float(temperatures[i])
             if ks is None:
-                ks = flips[first:last].tolist()
-                us = uniforms[first:last].tolist()
+                ks = flips[first:first + count].tolist()
+                us = uniforms.tolist()
             for i in range(i, count):
                 proposal = state ^ bits[ks[i]]
                 if proposal:
-                    try:
-                        new_value = seen[proposal]
-                    except KeyError:
+                    new_value = seen.get(proposal)
+                    if new_value is None:
                         new_value = seen[proposal] = v(proposal)
-                        unseen -= 1
+                        if unseen is None:
+                            quiet_at = i + 1 + _QUIET_RUN      # the quiet run starts over
+                        else:
+                            unseen, quiet_at = unseen - 1, i
                     dv = new_value - value
                     if dv >= 0.0:
                         state, value = proposal, new_value
-                        unseen = unseen_neighbours(state)
+                        unseen, quiet_at = None, i + 1 + _QUIET_RUN
                         if value > best_value:
                             best_state, best_value = state, value
                     elif temperature > 0.0:
@@ -272,15 +293,21 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
                         if us[i] < exp(-745.0 if x < -745.0 else x):
                             # a worse move cannot raise the best
                             state, value = proposal, new_value
-                            unseen = unseen_neighbours(state)
+                            unseen, quiet_at = None, i + 1 + _QUIET_RUN
                 temperature *= factor
                 if best_trace is not None:
                     best_trace.append(best_value)
-                if not unseen:
-                    i += 1
-                    break
+                if i >= quiet_at:
+                    # quiet: count once (the empty mask is no neighbour); a miss counts down
+                    if unseen is None:
+                        unseen = len([b for b in bits if state ^ b not in seen]) - (not state & (state - 1))
+                    if not unseen:
+                        i += 1
+                        break
+                    quiet_at = steps
             else:
                 i = count
+        quiet_at -= count
     return best_state, best_value
 
 
@@ -331,17 +358,17 @@ def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
     as the waveguide, radiating all elements with equal power split and no
     feed-line phase accumulation.  Each link's rate is the kernel's
     arithmetic on the full mask, as SecrecyEvaluator.link_rates gives it:
-    the coefficients added in index order, then secrecy.link_rate at
-    rho = P_t / (N * sigma^2).  Non-finite coefficients raise ValueError,
-    as the evaluator's do.  Returns (user rate, eavesdropper rate, secrecy
-    rate).
+    the coefficients added in index order, then both links finished by
+    secrecy._link_rates at rho = P_t / (N * sigma^2).  Non-finite
+    coefficients raise ValueError, as the evaluator's do.  Returns (user
+    rate, eavesdropper rate, secrecy rate).
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     pos = _ula_positions(scenario, n_antennas)
     wl = wavelengths(scenario)
     rho = budget.transmit_power_w / (n_antennas * budget.noise_power_w)
-    rates = []
+    sums = []
     for receiver in (drop.bob, drop.eve):
         d = np.linalg.norm(pos - np.asarray(receiver, dtype=np.float64), axis=1)
         phase = np.mod(2.0 * np.pi * d / wl.free_space, 2.0 * np.pi)
@@ -351,6 +378,6 @@ def ula_secrecy_rate(scenario: Scenario, drop: Drop, n_antennas: int,
         h = 0j
         for c in coeffs.tolist():
             h += c
-        rates.append(link_rate(h, rho))
-    rb, re = rates
+        sums.append(h)
+    rb, re = _link_rates(*sums, rho)
     return rb, re, rb - re

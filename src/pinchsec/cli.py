@@ -13,6 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import coalitions
+from .channel import channel_vector
 from .game import payoff_reports
 from .harness import (_INI_FIELDS, METHODS, ExperimentConfig, apply_overrides, build_trial,
                       config_from_ini, run_antenna_sweep,
@@ -67,8 +68,9 @@ def _cmd_single_drop(args) -> int:
     print(f"  eve at ({drop.eve[0]:.4f}, {drop.eve[1]:+.4f}, 0)")
     print()
     print("   n     x_n      |h_bob|   arg_bob     |h_eve|   arg_eve")
-    for i, x in enumerate(trial.layout.positions_x):
-        hb, he = trial.evaluator.channel_sums(1 << i)
+    bob, eve = (channel_vector(scenario, trial.layout, point).tolist()
+                for point in (drop.bob, drop.eve))
+    for i, (x, hb, he) in enumerate(zip(trial.layout.positions_x, bob, eve)):
         print(f"  {i:2d}  {x:7.4f}  {abs(hb):.4e}  {np.angle(hb):+8.4f}"
               f"  {abs(he):.4e}  {np.angle(he):+8.4f}")
     print()

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, get_args, get_origin
 import numpy as np
 
 from . import coalitions
-from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule,
+from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule, _integer,
                         brute_force_secrecy_optimum,
                         coalition_value_activation, simulated_annealing,
                         ula_secrecy_rate)
@@ -72,6 +72,9 @@ class ExperimentConfig:
     sa_initial_temperature: float = 1.0
 
     def __post_init__(self):
+        for name in ("trials", "n_antennas", "master_seed", "max_cycles", "workers", "sa_steps"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "antenna_axis", tuple(_integer("antenna_axis", n) for n in self.antenna_axis))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.power_dbm_axis:

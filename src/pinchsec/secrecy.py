@@ -21,6 +21,9 @@ _INV_LN2 = 1.0 / math.log(2.0)
 # subsets, whose planes (256 KiB for the four sums of a block) stay in cache
 _BLOCK_BITS = 13
 
+# the bits set in each byte value, lowest first, for the scalar path's walk
+_BYTE_BITS = [tuple(k for k in range(8) if byte >> k & 1) for byte in range(256)]
+
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -83,7 +86,8 @@ class SecrecyEvaluator:
         if len(hb) != len(he):
             raise ValueError("bob and eve channel vectors must have equal length")
         self._n = len(hb)
-        self._hb, self._he = hb.tolist(), he.tolist()
+        pairs = list(zip(hb.tolist(), he.tolist()))   # (bob, eve) coefficients by antenna
+        self._byte_coeffs = [pairs[j:j + 8] for j in range(0, self._n, 8)]   # by byte of a mask
         # the kernel's inputs: coefficient parts as four planes (bob re,
         # eve re, bob im, eve im) by antenna, so that the SNR stage adds two
         # contiguous halves, re squares and im squares; and rho by active count
@@ -93,6 +97,7 @@ class SecrecyEvaluator:
         active = np.arange(1, self._n + 1)
         self._rho = np.concatenate(([0.0], budget.transmit_power_w
                                     / (active * budget.noise_power_w)))
+        self._rho_list = self._rho.tolist()   # the scalar path reads rho here
         self._rho_rows: dict[tuple[int, int], np.ndarray] = {}
         self._memo: dict[int, float] = {0: 0.0}
 
@@ -100,27 +105,22 @@ class SecrecyEvaluator:
     def n_antennas(self) -> int:
         return self._n
 
-    def channel_sums(self, mask: int) -> tuple[complex, complex]:
-        """Effective channels (bob, eve) for a mask, added lowest antenna first."""
-        if mask < 0 or mask >= (1 << self._n):
-            raise ValueError("coalition mask out of range")
-        hb = he = 0j
-        bob, eve = self._hb, self._he
-        while mask:
-            low = mask & -mask
-            n = low.bit_length() - 1
-            hb += bob[n]
-            he += eve[n]
-            mask ^= low
-        return hb, he
-
     def link_rates(self, mask: int) -> tuple[float, float]:
-        """(bob rate, eve rate) in bits/s/Hz for a nonempty mask."""
-        if mask == 0:
-            raise ValueError("at least one antenna must be active")
-        hb, he = self.channel_sums(mask)
-        rho = self._rho.item(mask.bit_count())
-        return link_rate(hb, rho), link_rate(he, rho)
+        """(bob rate, eve rate) in bits/s/Hz for a nonempty mask: the scalar path,
+        also v's on a memo miss.  Sums from 0j, lowest antenna first, walking
+        the mask a byte at a time, then both links finished by _link_rates."""
+        if mask <= 0 or mask >> self._n:
+            raise ValueError("at least one antenna must be active" if mask == 0
+                             else "coalition mask out of range")
+        hb = he = 0j
+        rest = mask
+        for coeffs in self._byte_coeffs:
+            for k in _BYTE_BITS[rest & 255]:
+                b, e = coeffs[k]
+                hb += b
+                he += e
+            rest >>= 8
+        return _link_rates(hb, he, self._rho_list[mask.bit_count()])
 
     def _subset_sums(self, rows, planes, joining=()) -> None:
         """Coefficient sums of every subset of the given antennas into planes
@@ -269,8 +269,7 @@ class SecrecyEvaluator:
         v = self._memo.get(mask)
         if v is None:
             rb, re = self.link_rates(mask)
-            v = rb - re
-            self._memo[mask] = v
+            v = self._memo[mask] = rb - re
         return v
 
 
@@ -300,8 +299,9 @@ def secrecy_from_snr(snr, out=None) -> np.ndarray:
     return np.subtract(snr[0], snr[1], out=out)
 
 
-def link_rate(h: complex, rho: float) -> float:
-    """One link's rate log2(1 + rho * |h|^2) from its coefficient sum h: the
-    kernel's arithmetic on one entry, where numpy's log1p gives a Python
-    float the same bits as an array entry."""
-    return float(np.log1p((h.real * h.real + h.imag * h.imag) * rho)) * _INV_LN2
+def _link_rates(hb: complex, he: complex, rho: float) -> tuple[float, float]:
+    """(bob rate, eve rate) log2(1 + rho * |h|^2) from both links' coefficient
+    sums: the kernel's arithmetic on one entry, where numpy's log1p gives a
+    Python float the same bits as an array entry."""
+    return (float(np.log1p((hb.real * hb.real + hb.imag * hb.imag) * rho)) * _INV_LN2,
+            float(np.log1p((he.real * he.real + he.imag * he.imag) * rho)) * _INV_LN2)

@@ -122,6 +122,25 @@ def rate(channels, coalition: int, budget) -> float:
     return math.log1p(rho * abs(h) ** 2) / math.log(2.0)
 
 
+def kernel_link_rates(bob_channels, eve_channels, coalition: int, budget) -> tuple[float, float]:
+    """(bob rate, eve rate) of a nonempty mask in the kernel's arithmetic,
+    one antenna at a time (oracle for the evaluator's scalar path).
+
+    Each link's coefficients are added from 0j, lowest antenna first; then
+    (re^2 + im^2) * rho at rho = P_t / (|S| * sigma^2); then numpy's log1p
+    and the 1/ln 2 scale.
+    """
+    rho = budget.transmit_power_w / (coalition.bit_count() * budget.noise_power_w)
+    rates = []
+    for channels in (bob_channels, eve_channels):
+        h = 0j
+        for n in range(len(channels)):
+            if coalition >> n & 1:
+                h += complex(channels[n])
+        rates.append(float(np.log1p((h.real * h.real + h.imag * h.imag) * rho)) * (1.0 / math.log(2.0)))
+    return rates[0], rates[1]
+
+
 def secrecy_rate(bob_channels, eve_channels, coalition: int, budget) -> float:
     """Bob's rate minus Eve's rate for one activation mask (may be negative)."""
     return rate(bob_channels, coalition, budget) - rate(eve_channels, coalition, budget)

@@ -291,6 +291,12 @@ def test_schedule_validation():
         with pytest.raises(ValueError, match="finite"):
             AnnealingSchedule(bad, 100)
     AnnealingSchedule(steps=0)          # zero steps is a legal no-op run
+    # steps is a count: a float or a bool is refused where it enters, not
+    # inside the walk's draws; numpy integers pass
+    for bad in (1e5, 100.0, np.float64(10.0), True):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            AnnealingSchedule(1.0, bad)
+    assert type(AnnealingSchedule(1.0, np.int64(10)).steps) is int
 
 
 def test_annealing_zero_steps_returns_start():
@@ -611,31 +617,50 @@ def test_chunk_temperatures_equal_the_repeated_product(count, temperature, facto
         assert expected[-1] == 0.0
 
 
-def test_annealing_on_a_frozen_drop_is_the_oracle_walk_and_mostly_scanned():
-    *_, v = _drop_evaluator(seed=1, n=28, power_dbm=20.0)
-    schedule = AnnealingSchedule(1.0, 20_000)
+def _counted_walk(n, power_dbm, seed):
+    """A 10^5-step walk on a fixed drop with its frozen scans counted:
+    (scans, skipped steps), checked against the loop oracle's result and
+    trace."""
+    *_, v = _drop_evaluator(seed=seed, n=n, power_dbm=power_dbm)
+    schedule = AnnealingSchedule(1.0, 100_000)
     scanned = []
 
     def counting(*args):
-        skipped = _frozen_steps(*args)
-        scanned.append(skipped)
-        return skipped
+        scanned.append(_frozen_steps(*args))
+        return scanned[-1]
 
     trace, oracle_trace = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baselines, "_frozen_steps", counting)
-        result = simulated_annealing(v, 28, schedule, seed=1, best_trace=trace)
-    assert result == loop_annealing(v, 28, schedule, seed=1, best_trace=oracle_trace)
+        result = simulated_annealing(v, n, schedule, seed=seed, best_trace=trace)
+    assert result == loop_annealing(v, n, schedule, seed=seed, best_trace=oracle_trace)
     assert trace == oracle_trace
-    # the numpy scan, not the scalar loop, took most of the steps
-    assert sum(scanned) > 0.8 * schedule.steps
+    return len(scanned), sum(scanned)
+
+
+def test_annealing_on_a_frozen_drop_is_the_oracle_walk_and_mostly_scanned():
+    # 28 antennas at 20 dBm freeze early: the numpy scan, not the scalar
+    # loop, takes nearly every step (98.5k of 10^5 in 26 scans on this
+    # drop), and a walk that never starts its scans takes none
+    _, skipped = _counted_walk(28, 20.0, seed=1)
+    assert skipped >= 95_000
+
+
+def test_a_hot_walk_starts_its_scans_only_from_quiet_states():
+    # 10 antennas at 0 dBm: moves come a few steps apart until late in the
+    # walk.  A walk that scans from every state whose neighbours were all
+    # seen makes 1848 scans on this drop (95.8k steps skipped); scanning only
+    # once the state has gone quiet makes 58 (84.1k skipped)
+    scans, skipped = _counted_walk(10, 0.0, seed=1)
+    assert scans <= 300
+    assert skipped >= 70_000
 
 
 def test_annealing_buffers_are_bounded_by_the_chunk():
     # a walk that freezes at once: the only value change is -1 per active
     # antenna, so it settles on a lone antenna and scans every chunk.  The
-    # up-front draws take 16 B a step; anything else of length steps
-    # would add at least 8 B a step more.
+    # flips take 1 B a step and the rest one chunk (under 512 KiB); anything
+    # else of length steps would add at least 1 B a step more.
     steps = 200_000
     v = lambda mask: -float(mask.bit_count())
     tracemalloc.start()
@@ -644,7 +669,21 @@ def test_annealing_buffers_are_bounded_by_the_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * steps + 4 * steps
+    assert peak < steps + 2 ** 19
+
+
+def test_annealing_draws_one_byte_a_step():
+    # 10^6 steps at 28 antennas: the flips take 0.95 MiB, and the chunk's
+    # uniforms, lists and scan buffers and the walk's dict about 1.2 MiB;
+    # drawing the flips and uniforms whole would take 16 B a step (16.5 MiB)
+    *_, v = _drop_evaluator(seed=1, n=28, power_dbm=20.0)
+    tracemalloc.start()
+    try:
+        simulated_annealing(v, 28, AnnealingSchedule(1.0, 10 ** 6), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_annealing_never_beats_the_exhaustive_optimum():

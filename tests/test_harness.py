@@ -60,10 +60,34 @@ def _row_key(row):
     {"power_dbm_axis": (10.0, 10.0)},
     {"antenna_axis": (5, 10, 5)},
     {"sa_initial_temperature": -1.0},
+    # integer fields refuse floats and bools where they enter
+    {"trials": 2.5},
+    {"trials": True},
+    {"n_antennas": 8.0},
+    {"workers": 1.5},
+    {"max_cycles": 3.5},
+    {"master_seed": 1.5},
+    {"antenna_axis": (5.5,)},
+    {"antenna_axis": (5, np.float64(10.0))},
+    {"sa_steps": 1e5},
+    {"sa_steps": False},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_names_the_field_that_is_no_integer_and_takes_numpy_integers():
+    for name, value in [("trials", 2.5), ("n_antennas", 8.0), ("workers", True),
+                        ("sa_steps", 1e5), ("antenna_axis", (5.5,))]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: value})
+    config = ExperimentConfig(trials=np.int64(2), n_antennas=np.uint8(6),
+                              antenna_axis=(np.int32(5), 10), sa_steps=np.int64(100))
+    assert config == ExperimentConfig(trials=2, n_antennas=6, antenna_axis=(5, 10), sa_steps=100)
+    assert type(config.n_antennas) is int and type(config.antenna_axis[0]) is int
+    assert run_power_sweep(replace(config, power_dbm_axis=(10.0,),
+                                   methods=("annealing",))).rows
 
 
 def test_config_defaults():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinchsec import (
     AntennaLayout,
@@ -12,7 +14,7 @@ from pinchsec import (
     uniform_layout,
 )
 from pinchsec.secrecy import dbm_to_watts
-from helpers import effective_channel, rate, secrecy_rate
+from helpers import effective_channel, kernel_link_rates, rate, secrecy_rate
 
 # frozen reference link rates for the default scenario with five evenly
 # spaced antennas and only the first one active, receiver at (2, 1, 0),
@@ -165,9 +167,6 @@ def test_evaluator_agrees_with_module_functions():
         rb, re = v.link_rates(mask)
         assert rb == pytest.approx(rate(bob, mask, budget), rel=1e-12)
         assert re == pytest.approx(rate(eve, mask, budget), rel=1e-12)
-        hb, he = v.channel_sums(mask)
-        assert hb == pytest.approx(effective_channel(bob, mask), rel=1e-12)
-        assert he == pytest.approx(effective_channel(eve, mask), rel=1e-12)
 
 
 def test_evaluator_empty_coalition_is_worth_zero():
@@ -191,10 +190,11 @@ def test_evaluator_rejects_out_of_range_masks():
     s, layout, budget = _golden_setup()
     v = SecrecyEvaluator(channel_vector(s, layout, GOLDEN_BOB),
                          channel_vector(s, layout, GOLDEN_EVE), budget)
-    with pytest.raises(ValueError):
-        v.channel_sums(1 << 5)
-    with pytest.raises(ValueError):
-        v.channel_sums(-2)
+    for mask in (1 << 5, -2):
+        with pytest.raises(ValueError, match="out of range"):
+            v(mask)
+        with pytest.raises(ValueError, match="out of range"):
+            v.link_rates(mask)
 
 
 def test_evaluator_rejects_mismatched_vectors():
@@ -220,3 +220,42 @@ def test_evaluator_rejects_non_finite_coefficients(bad):
         SecrecyEvaluator(broken, good, budget)
     with pytest.raises(ValueError, match="finite"):
         SecrecyEvaluator(good, broken, budget)
+
+
+@st.composite
+def _byte_masks(draw):
+    """(n, mask, seed): a nonempty mask on n = 1..64 antennas, one byte
+    drawn for each byte from a lowest one up, so that masks have members
+    in every byte, or only in the high ones."""
+    n = draw(st.integers(1, 64))
+    lowest = draw(st.integers(0, (n - 1) // 8))
+    mask = 0
+    for byte in range(lowest, (n + 7) // 8):
+        mask |= draw(st.integers(0, 255)) << 8 * byte
+    mask &= (1 << n) - 1
+    return n, mask or 1 << (n - 1), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_byte_masks(), power_dbm=st.sampled_from([-20.0, 10.0, 40.0]))
+@example(case=(64, (1 << 64) - 1, 1), power_dbm=10.0)
+@example(case=(64, 1 << 63, 2), power_dbm=10.0)
+@example(case=(9, 1 << 8, 3), power_dbm=10.0)
+@example(case=(64, 0xFF << 56, 4), power_dbm=40.0)
+def test_scalar_path_equals_the_kernel_oracle_in_every_byte(case, power_dbm):
+    n, mask, seed = case
+    rng = np.random.default_rng(seed)
+    bob, eve = (1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
+    budget = LinkBudget(power_dbm, -90.0)
+    v = SecrecyEvaluator(bob, eve, budget)
+    rb, re = kernel_link_rates(bob, eve, mask, budget)
+    assert v.link_rates(mask) == (rb, re)
+    assert v(mask) == rb - re
+    # the refusals stand: the empty mask is worth 0, and a mask outside
+    # 0 .. 2^n - 1 is refused by both routes
+    assert v(0) == 0.0
+    for bad in (-1, -mask, 1 << n, mask | 1 << n):
+        with pytest.raises(ValueError, match="out of range"):
+            v(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            v.link_rates(bad)
