@@ -8,9 +8,9 @@
   6.1-9.2 and 96-138 ms (process CPU time per drop on a 2-core shared
   host, whose speed drifted that much between runs);
 * simulated annealing over subsets (scales past the exhaustive limit),
-  which skips in numpy the steps a quiet, frozen state surely rejects: on
-  28 antennas a walk takes 7-8 ms at 20 dBm and 55-61 at 0 dBm for 10^5
-  steps, 54-62 and 561-643 ms for 10^6 (process CPU per drop, 2-core host);
+  which skips in numpy what its dict of scores shows a quiet state surely
+  rejects: on 28 antennas a walk takes 7-8 ms at 20 dBm and 55-61 at 0
+  dBm for 10^5 steps, 54-62 and 561-643 for 10^6 (process CPU, 2-core host);
 * the activation game's scan with a value-only move rule: an antenna
   flips when the flip strictly raises the coalition value, instead of on
   payoff comparisons;
@@ -130,11 +130,11 @@ class AnnealingSchedule:
 # steps whose draws are turned into Python lists at a time (about 160 KiB)
 _WALK_CHUNK = 4096
 
-# a state counts its unseen neighbours once its last _QUIET_RUN proposals all
-# hit seen masks; walks of 10 to 28 antennas ran fastest at runs of 40 to 128
+# a state is scanned once its last _QUIET_RUN proposals found no new mask and
+# made no move; walks of 10 to 28 antennas ran fastest at runs of 40 to 128
 _QUIET_RUN = 64
 
-# A frozen step's worse move is surely rejected when its uniform draw is at
+# A quiet step's worse move is surely rejected when its uniform draw is at
 # least np.exp(max(dv / T, _EXP_CLAMP)) * (1 + _EXP_MARGIN).  Above the
 # clamp, np.exp's results are normal doubles within a few ulps (1e-15
 # relative) of math.exp's, far inside the margin.  At the clamp the bound
@@ -170,14 +170,12 @@ def _surely_rejected(dv, temperatures, uniforms) -> np.ndarray:
     return (dv < 0.0) & (uniforms >= bound)
 
 
-def _frozen_steps(state: int, neighbour_dv, flips, temperatures, uniforms) -> int:
-    """How many leading steps from a frozen state the scalar rule surely
-    rejects: steps _surely_rejected marks, with neighbour_dv[k] the change
-    in value of flipping k, and, from a lone antenna, its own flip, which
-    would empty the coalition."""
+def _frozen_steps(neighbour_dv, flips, temperatures, uniforms) -> int:
+    """How many leading steps from a state the scalar rule surely rejects:
+    steps _surely_rejected marks, with neighbour_dv[k] the change in value
+    of flipping k (NaN for a neighbour not yet scored, which stops the
+    scan)."""
     rejected = _surely_rejected(neighbour_dv.take(flips), temperatures, uniforms)
-    if not state & (state - 1):
-        rejected |= flips == state.bit_length() - 1
     return len(rejected) if rejected.all() else int(rejected.argmin())
 
 
@@ -197,29 +195,32 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     v must be pure: the walk keeps every value it has seen in a local
     dict and calls v once per distinct mask, since a walk mostly revisits
     the masks one flip from its path.  That dict grows with the distinct
-    masks, as a memoizing v does.
+    masks, so v need not memoize.
 
-    Late in a walk the state freezes: every nonempty neighbour's value is
-    in the dict, and almost every step rejects.  A state's unseen
-    neighbours are counted only once it has gone quiet (its last
-    _QUIET_RUN proposals all hit the dict); the count then follows each
-    new mask, and a move makes it unknown again.  From a frozen state the
+    Late in a walk the state freezes: every neighbour's value is in the
+    dict, and almost every step rejects.  Once a state has gone quiet (its
+    last _QUIET_RUN proposals found no new mask and made no move), the
     rest of the chunk is scanned in numpy (_frozen_steps) for the first
     step that is not surely rejected, and the steps before it are skipped.
-    Each scan slices its chunk's temperatures, built once (_temperatures:
-    the loop's chain of products).  Every other step goes through the
-    scalar rule.  The scan is conservative: it skips a worse move only if
-    the draw is at least np.exp's acceptance bound times 1 + 1e-9, a
-    million times any gap between np.exp and math.exp, and it leaves draws
-    of 0.0 and NaNs to the scalar rule.  So math.exp still decides every
-    move that could be accepted, and the draws, the v calls, the
-    temperatures and the result are those of a plain loop.
+    A neighbour not in the dict has a NaN change in value, so the scan
+    stops at the first step that would call v; the dict holds the empty
+    mask at -inf, as entry 0 of enumerate_secrecy_values, so its flip is a
+    worse move like any other.  Each scan slices its chunk's
+    temperatures, built once (_temperatures: the loop's chain of
+    products).  Every other step goes through the scalar rule.  The scan
+    is conservative: it skips a worse move only if the draw is at least
+    np.exp's acceptance bound times 1 + 1e-9, a million times any gap
+    between np.exp and math.exp, and it leaves draws of 0.0 and NaNs to
+    the scalar rule.  So math.exp still decides every move that could be
+    accepted, and the draws, the v calls, the temperatures and the result
+    are those of a plain loop.
 
     Every flip is drawn before the first uniform, chunk by chunk into one
     byte a step, and each chunk's uniforms as the walk reaches it: the
     stream of one draw of each, held at 1 B a step and one chunk (2.2 MiB
     at 10^6 steps and 28 antennas, tracemalloc).
     """
+    n_antennas = _integer("n_antennas", n_antennas)
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     if n_antennas > ANNEALING_MAX_ANTENNAS:
@@ -243,21 +244,20 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     temperature = schedule.initial_temperature
     factor = schedule.cooling_factor
     bits = [1 << k for k in range(n_antennas)]
-    seen = {state: value}
+    seen = {0: -math.inf, state: value}
     exp = math.exp
-    # the state's unseen neighbours: None until it is quiet, from chunk step quiet_at on
-    unseen, quiet_at = None, _QUIET_RUN
+    quiet_at = _QUIET_RUN       # the chunk step from which the state is quiet
     for first in range(0, steps, _WALK_CHUNK):
         count = min(_WALK_CHUNK, steps - first)
         uniforms = rng.random(count)
         i, start, temperatures, ks = 0, temperature, None, None
         while i < count:
-            if unseen == 0:
-                # frozen: skip to the first step the scalar rule may accept
+            if i >= quiet_at:
+                # quiet: skip to the first step that may move or call v
                 if temperatures is None:
                     temperatures = _temperatures(start, factor, count)
-                neighbour_dv = np.array([seen.get(state ^ b, value) for b in bits]) - value
-                skipped = _frozen_steps(state, neighbour_dv, flips[first + i:first + count],
+                neighbour_dv = np.array([seen.get(state ^ b, math.nan) for b in bits]) - value
+                skipped = _frozen_steps(neighbour_dv, flips[first + i:first + count],
                                         temperatures[i:], uniforms[i:])
                 if best_trace is not None:
                     best_trace.extend([best_value] * skipped)
@@ -275,14 +275,11 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
                     new_value = seen.get(proposal)
                     if new_value is None:
                         new_value = seen[proposal] = v(proposal)
-                        if unseen is None:
-                            quiet_at = i + 1 + _QUIET_RUN      # the quiet run starts over
-                        else:
-                            unseen, quiet_at = unseen - 1, i
+                        quiet_at = i + 1 + _QUIET_RUN
                     dv = new_value - value
                     if dv >= 0.0:
                         state, value = proposal, new_value
-                        unseen, quiet_at = None, i + 1 + _QUIET_RUN
+                        quiet_at = i + 1 + _QUIET_RUN
                         if value > best_value:
                             best_state, best_value = state, value
                     elif temperature > 0.0:
@@ -293,18 +290,13 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
                         if us[i] < exp(-745.0 if x < -745.0 else x):
                             # a worse move cannot raise the best
                             state, value = proposal, new_value
-                            unseen, quiet_at = None, i + 1 + _QUIET_RUN
+                            quiet_at = i + 1 + _QUIET_RUN
                 temperature *= factor
                 if best_trace is not None:
                     best_trace.append(best_value)
                 if i >= quiet_at:
-                    # quiet: count once (the empty mask is no neighbour); a miss counts down
-                    if unseen is None:
-                        unseen = len([b for b in bits if state ^ b not in seen]) - (not state & (state - 1))
-                    if not unseen:
-                        i += 1
-                        break
-                    quiet_at = steps
+                    i += 1
+                    break
             else:
                 i = count
         quiet_at -= count

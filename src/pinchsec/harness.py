@@ -225,8 +225,15 @@ def _brute_force(trial: Trial) -> Outcome:
 
 def _annealing(trial: Trial) -> Outcome:
     config = trial.config
+    link_rates = trial.evaluator.link_rates
+
+    def v(mask):
+        # the evaluator's value without its memo: the walk keeps its own
+        rb, re = link_rates(mask)
+        return rb - re
+
     mask, _ = simulated_annealing(
-        trial.evaluator, trial.layout.n_antennas,
+        v, trial.layout.n_antennas,
         AnnealingSchedule(config.sa_initial_temperature, config.sa_steps),
         seed=method_seed(config.master_seed, trial.sweep_idx, trial.trial_idx, "annealing"))
     return _scored(trial, mask, config.sa_steps)

@@ -334,6 +334,15 @@ def test_annealing_runs_at_64_antennas():
     assert value == v(mask)
 
 
+def test_annealing_takes_a_numpy_antenna_count_and_refuses_a_bool():
+    # 1 << np.int64(64) overflows; the count is taken as an int first
+    *_, v = _drop_evaluator(seed=8, n=64)
+    assert (simulated_annealing(v, np.int64(64), AnnealingSchedule(1.0, 10), seed=1)
+            == simulated_annealing(v, 64, AnnealingSchedule(1.0, 10), seed=1))
+    with pytest.raises(ValueError, match="n_antennas must be an integer"):
+        simulated_annealing(lambda mask: 1.0, True, AnnealingSchedule(1.0, 10), seed=1)
+
+
 def test_annealing_refuses_65_antennas_before_drawing():
     def v(mask):
         raise AssertionError("no coalition should be scored")
@@ -401,10 +410,19 @@ def test_annealing_equals_the_loop_oracle(n, steps, temperature, cooling, scale,
     assert trace == oracle_trace
 
 
-@pytest.mark.parametrize("n", [3, 10, 28])
-def test_annealing_equals_the_loop_oracle_on_drops(n):
-    *_, v = _drop_evaluator(seed=n, n=n, power_dbm=20.0)
-    schedule = AnnealingSchedule(1.0, 3 * _WALK_CHUNK + 7)
+@pytest.mark.parametrize("n, power_dbm, steps", [
+    pytest.param(3, 20.0, 3 * _WALK_CHUNK + 7, id="3"),
+    pytest.param(10, 20.0, 3 * _WALK_CHUNK + 7, id="10"),
+    pytest.param(28, 20.0, 3 * _WALK_CHUNK + 7, id="28"),
+    # at 0 dBm and 48 or 64 antennas a state often goes quiet with unseen
+    # neighbours left: 1 of the 48-antenna walk's 10 scans and 3 of the
+    # 64-antenna walk's 34 stop at such a neighbour's flip
+    pytest.param(48, 0.0, 10 * _WALK_CHUNK, id="48-0dBm"),
+    pytest.param(64, 0.0, 6 * _WALK_CHUNK + 7, id="64-0dBm"),
+])
+def test_annealing_equals_the_loop_oracle_on_drops(n, power_dbm, steps):
+    *_, v = _drop_evaluator(seed=n, n=n, power_dbm=power_dbm)
+    schedule = AnnealingSchedule(1.0, steps)
     trace, oracle_trace = [], []
     result = simulated_annealing(v, n, schedule, seed=n, best_trace=trace)
     assert result == loop_annealing(v, n, schedule, seed=n, best_trace=oracle_trace)
@@ -562,18 +580,50 @@ def test_filter_is_conservative_property(cases):
 
 
 def test_frozen_steps_skip_the_empty_flip_of_a_singleton():
-    # from state 0b100 flipping antenna 2 empties the coalition; its dv
-    # entry is never read, so NaN there must not stop the scan
-    dv = np.array([-5.0, -5.0, math.nan])
+    # from state 0b100 flipping antenna 2 empties the coalition; the walk's
+    # dict holds the empty mask at -inf, so that flip is a worse move the
+    # scan skips like any other
+    dv = np.array([-5.0, -5.0, -math.inf])
     flips = np.array([2, 0, 2, 1, 2, 0])
     temperatures = np.full(6, 1e-3)
     uniforms = np.full(6, 0.5)
-    assert _frozen_steps(0b100, dv, flips, temperatures, uniforms) == 6
-    # from 0b101 the flip of antenna 2 is a move, and NaN leaves it to
-    # the scalar rule
-    assert _frozen_steps(0b101, dv, flips, temperatures, uniforms) == 0
+    assert _frozen_steps(dv, flips, temperatures, uniforms) == 6
+    # from 0b101 the flip of antenna 2 is a move to a mask not yet scored:
+    # NaN leaves it to the scalar rule
+    assert _frozen_steps(np.array([-5.0, -5.0, math.nan]), flips, temperatures, uniforms) == 0
+    # an unseen neighbour stops the scan at its first flip
+    assert _frozen_steps(np.array([-5.0, math.nan, -math.inf]), flips, temperatures, uniforms) == 3
     uniforms[3] = 0.0          # a draw the scalar rule accepts
-    assert _frozen_steps(0b100, dv, flips, temperatures, uniforms) == 3
+    assert _frozen_steps(dv, flips, temperatures, uniforms) == 3
+
+
+def test_a_scan_hands_an_unseen_neighbour_to_the_scalar_rule():
+    # at 64 antennas and 0 dBm a state often goes quiet with neighbours
+    # not yet scored; a scan stops at the first flip to one of them, and
+    # the scalar rule scores it, so v sees exactly the oracle's proposals
+    *_, evaluator = _drop_evaluator(seed=64, n=64, power_dbm=0.0)
+    schedule = AnnealingSchedule(1.0, 6 * _WALK_CHUNK + 7)
+    calls, proposed, unseen_stops = [], set(), []
+
+    def counting(mask):
+        calls.append(mask)
+        return evaluator(mask)
+
+    def recording(mask):
+        proposed.add(mask)
+        return evaluator(mask)
+
+    def scan(neighbour_dv, flips, temperatures, uniforms):
+        skipped = _frozen_steps(neighbour_dv, flips, temperatures, uniforms)
+        unseen_stops.append(skipped < len(flips) and math.isnan(neighbour_dv[flips[skipped]]))
+        return skipped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_frozen_steps", scan)
+        result = simulated_annealing(counting, 64, schedule, seed=64)
+    assert result == loop_annealing(recording, 64, schedule, seed=64)
+    assert sum(unseen_stops) >= 1          # 3 of 34 scans on this drop
+    assert len(calls) == len(proposed) and set(calls) == proposed
 
 
 def test_annealing_from_a_lone_antenna_skips_empty_flips():
@@ -584,6 +634,25 @@ def test_annealing_from_a_lone_antenna_skips_empty_flips():
     assert (simulated_annealing(v, 1, schedule, seed=3, best_trace=trace)
             == loop_annealing(v, 1, schedule, seed=3, best_trace=oracle_trace))
     assert trace == oracle_trace
+
+
+def test_a_lone_antenna_walk_scans_past_its_empty_flips():
+    # the empty mask sits in the walk's dict at -inf, so once quiet a lone
+    # antenna's scans skip its empty flips: one scan a chunk, and only the
+    # quiet run's _QUIET_RUN steps and the one that ends it go through the
+    # scalar rule
+    steps = 2 * _WALK_CHUNK + 1
+    scanned = []
+
+    def counting(*args):
+        scanned.append(_frozen_steps(*args))
+        return scanned[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_frozen_steps", counting)
+        simulated_annealing(lambda mask: 1.0, 1, AnnealingSchedule(1.0, steps), seed=3)
+    assert len(scanned) == 3
+    assert sum(scanned) == steps - baselines._QUIET_RUN - 1
 
 
 def _repeated_product(temperature, factor, count):
@@ -640,7 +709,7 @@ def _counted_walk(n, power_dbm, seed):
 
 def test_annealing_on_a_frozen_drop_is_the_oracle_walk_and_mostly_scanned():
     # 28 antennas at 20 dBm freeze early: the numpy scan, not the scalar
-    # loop, takes nearly every step (98.5k of 10^5 in 26 scans on this
+    # loop, takes nearly every step (98.4k of 10^5 in 27 scans on this
     # drop), and a walk that never starts its scans takes none
     _, skipped = _counted_walk(28, 20.0, seed=1)
     assert skipped >= 95_000
@@ -649,8 +718,9 @@ def test_annealing_on_a_frozen_drop_is_the_oracle_walk_and_mostly_scanned():
 def test_a_hot_walk_starts_its_scans_only_from_quiet_states():
     # 10 antennas at 0 dBm: moves come a few steps apart until late in the
     # walk.  A walk that scans from every state whose neighbours were all
-    # seen makes 1848 scans on this drop (95.8k steps skipped); scanning only
-    # once the state has gone quiet makes 58 (84.1k skipped)
+    # seen makes 1848 scans on this drop (95.8k steps skipped); scanning
+    # each state once it has gone quiet, with or without unseen neighbours,
+    # makes 58 (84.1k skipped), none of them stopped by an unseen neighbour
     scans, skipped = _counted_walk(10, 0.0, seed=1)
     assert scans <= 300
     assert skipped >= 70_000

@@ -488,6 +488,30 @@ def test_coalition_past_shapley_cap_names_its_trial(monkeypatch, workers):
                                "coalition size 5 exceeds enumeration cap 4")
 
 
+def test_annealing_scores_past_the_evaluator_memo(monkeypatch):
+    # the walk keeps every value it scores in its own dict; going through
+    # the evaluator's memo would store each one twice
+    config = ExperimentConfig(n_antennas=12, master_seed=3, sa_steps=3000)
+    trial = harness.build_trial(config, 0, 0, 12, 0.0)
+    calls = []
+    memo_route = secrecy.SecrecyEvaluator.__call__
+
+    def counting(self, mask):
+        calls.append(mask)
+        return memo_route(self, mask)
+
+    monkeypatch.setattr(secrecy.SecrecyEvaluator, "__call__", counting)
+    outcome = harness.METHODS["annealing"].run(trial)
+    assert calls == []
+    # the same walk as with the evaluator itself as v
+    monkeypatch.undo()
+    mask, _ = harness.simulated_annealing(
+        trial.evaluator, 12, harness.AnnealingSchedule(1.0, 3000),
+        seed=method_seed(config.master_seed, 0, 0, "annealing"))
+    assert outcome.mask == mask
+    assert outcome.secrecy_rate == trial.evaluator(mask)
+
+
 def _assert_no_method_beats_the_exact_optimum(n, power_dbm, seed):
     # fixed-ula is left out: it is another array, not a coalition of these antennas
     config = ExperimentConfig(n_antennas=n, master_seed=seed, sa_steps=300)
