@@ -130,8 +130,8 @@ class AnnealingSchedule:
 # steps whose draws are turned into Python lists at a time (about 160 KiB)
 _WALK_CHUNK = 4096
 
-# a state is scanned once its last _QUIET_RUN proposals found no new mask and
-# made no move; walks of 10 to 28 antennas ran fastest at runs of 40 to 128
+# a state is scanned once its last _QUIET_RUN + 1 proposals found no new mask
+# and made no move; walks of 10 to 28 antennas ran fastest at runs of 40 to 128
 _QUIET_RUN = 64
 
 # A quiet step's worse move is surely rejected when its uniform draw is at
@@ -199,7 +199,7 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
 
     Late in a walk the state freezes: every neighbour's value is in the
     dict, and almost every step rejects.  Once a state has gone quiet (its
-    last _QUIET_RUN proposals found no new mask and made no move), the
+    last _QUIET_RUN + 1 proposals found no new mask and made no move), the
     rest of the chunk is scanned in numpy (_frozen_steps) for the first
     step that is not surely rejected, and the steps before it are skipped.
     A neighbour not in the dict has a NaN change in value, so the scan

@@ -16,6 +16,13 @@ import numpy as np
 Point = tuple[float, float, float]
 
 
+def _boolean(name: str, value) -> bool:
+    """A Python or numpy bool as a bool; ValueError naming the field for anything else."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable physical configuration.
@@ -36,6 +43,8 @@ class Scenario:
     one_sided_region: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "one_sided_region",
+                           _boolean("one_sided_region", self.one_sided_region))
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):

@@ -21,11 +21,9 @@ Wall-clock time is measured for every row but kept out of raw_rows.csv:
 reruns must be byte-identical, and timestamps never are.
 """
 
-import configparser
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -41,7 +39,7 @@ from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule, _integer,
 from .channel import channel_vector
 from .coalitions import ENUMERATION_CAP, CapacityError
 from .game import DEFAULT_MAX_CYCLES, GameTrace, closest_antenna, run_activation
-from .geometry import AntennaLayout, Drop, Scenario, sample_drop, uniform_layout
+from .geometry import AntennaLayout, Drop, Scenario, _boolean, sample_drop, uniform_layout
 from .secrecy import LinkBudget, SecrecyEvaluator
 
 DEFAULT_METHODS = ("initial-single-antenna", "shapley", "coalition-value", "fixed-ula")
@@ -75,6 +73,10 @@ class ExperimentConfig:
         for name in ("trials", "n_antennas", "master_seed", "max_cycles", "workers", "sa_steps"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "antenna_axis", tuple(_integer("antenna_axis", n) for n in self.antenna_axis))
+        # the echo writes a tuple as its reader's comma list; elements stay as given
+        object.__setattr__(self, "power_dbm_axis", tuple(self.power_dbm_axis))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "timing", _boolean("timing", self.timing))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.power_dbm_axis:
@@ -376,6 +378,8 @@ def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
     if workers == 1:
         outcomes = [_evaluate_trial(task) for task in tasks]
     else:
+        # imported here so a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_trial, tasks, chunksize=chunk))
@@ -532,6 +536,7 @@ _NOT_ECHOED = ("out_dir", "workers")
 
 
 def _parse_bool(text: str) -> bool:
+    import configparser
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
@@ -593,6 +598,8 @@ def config_from_ini(path) -> ExperimentConfig:
     A section or key the field table does not know is refused, so a typo
     cannot silently leave its field at the default.
     """
+    # imported here, as in _parse_bool, so a run without a config file never loads it
+    import configparser
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")

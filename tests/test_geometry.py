@@ -32,6 +32,9 @@ def test_default_scenario_values():
     {"effective_refractive_index": 0.99},
     {"feed_point_x": -0.1},
     {"feed_point_x": 10.5},
+    # a truthy string is not a switch that is on
+    {"one_sided_region": "no"},
+    {"one_sided_region": 1},
 ])
 def test_scenario_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -43,6 +46,13 @@ def test_scenario_rejects_bad_values(kwargs):
 def test_scenario_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match="finite"):
         Scenario(**{name: value})
+
+
+def test_scenario_names_the_switch_that_is_no_bool_and_takes_numpy_bools():
+    with pytest.raises(ValueError, match="one_sided_region must be a bool, got 'no'"):
+        Scenario(one_sided_region="no")
+    scenario = Scenario(one_sided_region=np.True_)
+    assert scenario.one_sided_region is True and scenario == Scenario(one_sided_region=True)
 
 
 def test_y_bounds_straddles_waveguide_by_default():

@@ -1,5 +1,8 @@
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -71,6 +74,10 @@ def _row_key(row):
     {"antenna_axis": (5, np.float64(10.0))},
     {"sa_steps": 1e5},
     {"sa_steps": False},
+    # so does the switch: "no" is a truthy string, not a false
+    {"timing": "no"},
+    {"timing": 1},
+    {"timing": None},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -88,6 +95,13 @@ def test_config_names_the_field_that_is_no_integer_and_takes_numpy_integers():
     assert type(config.n_antennas) is int and type(config.antenna_axis[0]) is int
     assert run_power_sweep(replace(config, power_dbm_axis=(10.0,),
                                    methods=("annealing",))).rows
+
+
+def test_config_names_the_switch_that_is_no_bool_and_takes_numpy_bools():
+    with pytest.raises(ValueError, match="timing must be a bool, got 'no'"):
+        ExperimentConfig(timing="no")
+    config = ExperimentConfig(timing=np.True_)
+    assert config.timing is True and config == ExperimentConfig(timing=True)
 
 
 def test_config_defaults():
@@ -467,7 +481,8 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch, workers, trials, pool_size
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # _run_study imports the pool class only when it needs one, so it reads the patched name
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     config = ExperimentConfig(n_antennas=4, trials=trials, workers=workers, master_seed=8)
     result = run_convergence_study(config)
     assert sizes == ([] if pool_size is None else [pool_size])
@@ -645,6 +660,17 @@ def test_effective_config_round_trips(tmp_path):
     assert loaded == replace(config, out_dir=None, workers=1)
 
 
+def test_effective_config_of_list_inputs_round_trips(tmp_path):
+    # lists are stored as tuples, so the echo writes them as the reader's comma lists
+    config = ExperimentConfig(power_dbm_axis=[0, 10.0], methods=["shapley", "fixed-ula"])
+    assert config.power_dbm_axis == (0, 10.0) and config.methods == ("shapley", "fixed-ula")
+    text = effective_config_ini(config)
+    assert "powers_dbm = 0, 10.0\n" in text and "methods = shapley, fixed-ula\n" in text
+    path = tmp_path / "echo.ini"
+    path.write_text(text, encoding="utf-8")
+    assert config_from_ini(path) == config
+
+
 DEFAULT_ECHO = """\
 [scenario]
 region_x = 10.0
@@ -694,3 +720,40 @@ def test_apply_overrides_skips_none():
     assert changed.trials == 7
     assert changed.power_dbm == 25.0
     assert changed.n_antennas == config.n_antennas
+
+
+FRESH_INTERPRETER = """
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from pinchsec import ExperimentConfig, run_power_sweep, write_outputs
+
+out = Path(sys.argv[1])
+config = ExperimentConfig(n_antennas=6, trials=3, power_dbm_axis=(0.0, 20.0),
+                          master_seed=5, out_dir=str(out / "one"))
+write_outputs(run_power_sweep(config), config)
+loaded = sorted({"concurrent.futures", "configparser"} & set(sys.modules))
+assert not loaded, f"a one-worker run imported {loaded}"
+
+from pinchsec.harness import config_from_ini
+
+pooled = config_from_ini(out / "one" / "effective_config.ini")
+assert pooled == ExperimentConfig(n_antennas=6, trials=3, power_dbm_axis=(0.0, 20.0),
+                                  master_seed=5)
+pooled = replace(pooled, workers=2, out_dir=str(out / "two"))
+write_outputs(run_power_sweep(pooled), pooled)
+"""
+
+
+def test_a_one_worker_run_imports_no_pool_and_no_ini_parser(tmp_path):
+    # a fresh interpreter, since this one has long imported both
+    src = str(Path(harness.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    one, two = ({path.name: path.read_bytes() for path in (tmp_path / side).iterdir()}
+                for side in ("one", "two"))
+    assert sorted(one) == ["aggregate.csv", "effective_config.ini", "raw_rows.csv"]
+    assert one == two
