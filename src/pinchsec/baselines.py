@@ -17,7 +17,7 @@
 * a conventional half-wavelength array at the region centre, all elements
   always active.  Its element positions are cached per (scenario, N), and
   its one rate per link comes straight from the coefficient sum through
-  the kernel's arithmetic, with no evaluator or memo: 51 -> 33 us per drop
+  the kernel's arithmetic, with no evaluator: 51 -> 33 us per drop
   at 20 elements (best of 5 timed passes over 200 drops on a 2-core host).
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from .channel import wavelengths
 from .coalitions import full_mask
 from .game import DEFAULT_MAX_CYCLES, GameTrace, ValueFunction, _scan
-from .geometry import AntennaLayout, Drop, Scenario
+from .geometry import AntennaLayout, Drop, Scenario, _real
 from .secrecy import LinkBudget, SecrecyEvaluator, _link_rates, secrecy_from_snr
 
 # annealing draws its start as one unsigned 64-bit mask
@@ -115,6 +115,8 @@ class AnnealingSchedule:
     steps: int = 1_000_000
 
     def __post_init__(self):
+        object.__setattr__(self, "initial_temperature",
+                           _real("initial_temperature", self.initial_temperature))
         if not 0.0 < self.initial_temperature < math.inf:
             raise ValueError(f"initial temperature must be positive and finite, "
                              f"got {self.initial_temperature}")
@@ -195,7 +197,7 @@ def simulated_annealing(v: ValueFunction, n_antennas: int,
     v must be pure: the walk keeps every value it has seen in a local
     dict and calls v once per distinct mask, since a walk mostly revisits
     the masks one flip from its path.  That dict grows with the distinct
-    masks, so v need not memoize.
+    masks and is their only copy: a SecrecyEvaluator keeps none.
 
     Late in a walk the state freezes: every neighbour's value is in the
     dict, and almost every step rejects.  Once a state has gone quiet (its
@@ -310,20 +312,22 @@ def coalition_value_activation(v: ValueFunction, layout: AntennaLayout, bob_posi
     Same starting point and scan order as the payoff-driven game: an
     antenna joins or leaves when that strictly raises v, and singletons
     never empty.  Greedy on the group objective, so it ignores how the gain
-    splits across members.  v must be pure: the rule keeps the value of
-    the mask it scans from, so each examined antenna costs one lookup,
-    v(mask ^ n).
+    splits across members.  v must be pure: the rule and the scan's trace
+    read it through one dict, so v is called once per distinct mask, and
+    the rule finds the mask it scans from there, put by the trace.
     """
-    current, value = -1, 0.0   # the mask scanned from, and its value
+    seen = {}
+
+    def value(mask):
+        if mask not in seen:
+            seen[mask] = v(mask)
+        return seen[mask]
 
     def flips(mask, n):
-        nonlocal current, value
-        if mask != current:
-            current, value = mask, v(mask)
         proposal = mask ^ (1 << n)
-        return proposal != 0 and v(proposal) > value
+        return proposal != 0 and value(proposal) > seen[mask]
 
-    return _scan(v, layout, bob_position, flips, max_cycles)
+    return _scan(value, layout, bob_position, flips, max_cycles)
 
 
 @lru_cache(maxsize=None)

@@ -362,6 +362,7 @@ def payoff_reports(v: SecrecyEvaluator, coalition: int, n_antennas: int) -> list
     if coalition == 0:
         raise ValueError("coalition must be nonempty")
     payoffs = _coalition_scores(v, coalition)[0]
+    value = v(coalition)
     reports = []
     for n in range(n_antennas):
         bit = 1 << n
@@ -369,7 +370,7 @@ def payoff_reports(v: SecrecyEvaluator, coalition: int, n_antennas: int) -> list
             reports.append(PayoffReport(n, True, payoffs[_local_index(coalition, n)], "shapley"))
         else:
             # scalar: an outsider's own table could pass the cap
-            reports.append(PayoffReport(n, False, v(coalition) - v(coalition | bit), "marginal"))
+            reports.append(PayoffReport(n, False, value - v(coalition | bit), "marginal"))
     return reports
 
 

@@ -8,6 +8,7 @@ optional one-sided mode uses y in [0, region_y] instead.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -21,6 +22,14 @@ def _boolean(name: str, value) -> bool:
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """A Python or numpy real number as a float; ValueError naming the field for
+    anything else, a bool or a string included."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +55,11 @@ class Scenario:
         object.__setattr__(self, "one_sided_region",
                            _boolean("one_sided_region", self.one_sided_region))
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type is float:
+                value = _real(f.name, getattr(self, f.name))
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, value)
         if self.region_x <= 0 or self.region_y <= 0:
             raise ValueError("region dimensions must be positive")
         if self.waveguide_height <= 0:

@@ -39,7 +39,7 @@ from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule, _integer,
 from .channel import channel_vector
 from .coalitions import ENUMERATION_CAP, CapacityError
 from .game import DEFAULT_MAX_CYCLES, GameTrace, closest_antenna, run_activation
-from .geometry import AntennaLayout, Drop, Scenario, _boolean, sample_drop, uniform_layout
+from .geometry import AntennaLayout, Drop, Scenario, _boolean, _real, sample_drop, uniform_layout
 from .secrecy import LinkBudget, SecrecyEvaluator
 
 DEFAULT_METHODS = ("initial-single-antenna", "shapley", "coalition-value", "fixed-ula")
@@ -72,9 +72,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("trials", "n_antennas", "master_seed", "max_cycles", "workers", "sa_steps"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("power_dbm", "convergence_power_dbm", "sa_initial_temperature"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         object.__setattr__(self, "antenna_axis", tuple(_integer("antenna_axis", n) for n in self.antenna_axis))
-        # the echo writes a tuple as its reader's comma list; elements stay as given
-        object.__setattr__(self, "power_dbm_axis", tuple(self.power_dbm_axis))
+        # the echo writes a tuple as its reader's comma list
+        object.__setattr__(self, "power_dbm_axis", tuple(_real("power_dbm_axis", p) for p in self.power_dbm_axis))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "timing", _boolean("timing", self.timing))
         if self.trials < 1:
@@ -227,15 +229,8 @@ def _brute_force(trial: Trial) -> Outcome:
 
 def _annealing(trial: Trial) -> Outcome:
     config = trial.config
-    link_rates = trial.evaluator.link_rates
-
-    def v(mask):
-        # the evaluator's value without its memo: the walk keeps its own
-        rb, re = link_rates(mask)
-        return rb - re
-
     mask, _ = simulated_annealing(
-        v, trial.layout.n_antennas,
+        trial.evaluator, trial.layout.n_antennas,
         AnnealingSchedule(config.sa_initial_temperature, config.sa_steps),
         seed=method_seed(config.master_seed, trial.sweep_idx, trial.trial_idx, "annealing"))
     return _scored(trial, mask, config.sa_steps)
@@ -267,12 +262,11 @@ METHODS = {
 def _study_points(kind: str, config: ExperimentConfig) -> list[tuple]:
     """(sweep value for the rows, antenna count, transmit power dBm) per sweep point."""
     if kind == "power":
-        return [(float(p), config.n_antennas, float(p)) for p in config.power_dbm_axis]
+        return [(p, config.n_antennas, p) for p in config.power_dbm_axis]
     if kind == "antenna":
-        return [(float(n), int(n), config.power_dbm) for n in config.antenna_axis]
+        return [(float(n), n, config.power_dbm) for n in config.antenna_axis]
     if kind == "convergence":
-        return [(float(config.convergence_power_dbm), config.n_antennas,
-                 config.convergence_power_dbm)]
+        return [(config.convergence_power_dbm, config.n_antennas, config.convergence_power_dbm)]
     raise ValueError(f"unknown study kind {kind!r}")
 
 

@@ -65,7 +65,7 @@ class LinkBudget:
 
 
 class SecrecyEvaluator:
-    """Coalition value v(S) for one drop, memoized across queries.
+    """Coalition value v(S) for one drop, recomputed on every query.
 
     v(S) is the secrecy rate of activation mask S, with the convention
     v(empty) = 0 so that subset-weighted payoff sums are anchored at zero.
@@ -99,7 +99,6 @@ class SecrecyEvaluator:
                                     / (active * budget.noise_power_w)))
         self._rho_list = self._rho.tolist()   # the scalar path reads rho here
         self._rho_rows: dict[tuple[int, int], np.ndarray] = {}
-        self._memo: dict[int, float] = {0: 0.0}
 
     @property
     def n_antennas(self) -> int:
@@ -107,7 +106,7 @@ class SecrecyEvaluator:
 
     def link_rates(self, mask: int) -> tuple[float, float]:
         """(bob rate, eve rate) in bits/s/Hz for a nonempty mask: the scalar path,
-        also v's on a memo miss.  Sums from 0j, lowest antenna first, walking
+        which v takes.  Sums from 0j, lowest antenna first, walking
         the mask a byte at a time, then both links finished by _link_rates."""
         if mask <= 0 or mask >> self._n:
             raise ValueError("at least one antenna must be active" if mask == 0
@@ -266,11 +265,10 @@ class SecrecyEvaluator:
             todo.extend((high_set | 1 << k, k) for k in range(len(high) - 1, top, -1))
 
     def __call__(self, mask: int) -> float:
-        v = self._memo.get(mask)
-        if v is None:
-            rb, re = self.link_rates(mask)
-            v = self._memo[mask] = rb - re
-        return v
+        if mask == 0:
+            return 0.0
+        rb, re = self.link_rates(mask)
+        return rb - re
 
 
 def _snr(sums, rho, out) -> np.ndarray:

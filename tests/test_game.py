@@ -215,6 +215,14 @@ def test_payoff_reports_cover_every_antenna():
     assert reports[0].payoff == pytest.approx(2.25, rel=1e-12)
     assert reports[1].payoff == pytest.approx(4.0 - 2.5, rel=1e-12)
     assert reports[2].payoff == pytest.approx(1.75, rel=1e-12)
+    # scalar lookups, the table aside: the coalition once, then each outsider
+    calls = []
+    counting = ValueTable(lambda mask: calls.append(mask) or TRIO_TABLE[mask])
+    counting.subset_values = v.subset_values
+    for coalition, joined in [(0b101, [0b111]), (0b001, [0b011, 0b101])]:
+        calls.clear()
+        assert payoff_reports(counting, coalition, 3) == payoff_reports(v, coalition, 3)
+        assert calls == [coalition, *joined]
     with pytest.raises(ValueError):
         payoff_reports(v, 0, 3)
 

@@ -35,6 +35,10 @@ def test_default_scenario_values():
     # a truthy string is not a switch that is on
     {"one_sided_region": "no"},
     {"one_sided_region": 1},
+    # nor is a bool or a string a length
+    {"region_x": True},
+    {"waveguide_height": "3"},
+    {"noise_power_dbm": None},
 ])
 def test_scenario_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -78,10 +78,34 @@ def _row_key(row):
     {"timing": "no"},
     {"timing": 1},
     {"timing": None},
+    # float fields refuse bools and strings where they enter
+    {"power_dbm": True},
+    {"power_dbm_axis": ("10",)},
+    {"convergence_power_dbm": None},
+    {"sa_initial_temperature": "1"},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_stores_every_float_field_as_a_float(tmp_path):
+    with pytest.raises(ValueError, match="power_dbm must be a real number, got '10'"):
+        ExperimentConfig(power_dbm="10")
+    with pytest.raises(ValueError, match="power_dbm_axis must be a real number, got True"):
+        ExperimentConfig(power_dbm_axis=(0.0, True))
+    config = ExperimentConfig(scenario=Scenario(region_x=12), power_dbm_axis=[0, np.int64(10)],
+                              power_dbm=np.float32(5.5), convergence_power_dbm=20,
+                              sa_initial_temperature=2)
+    floats = (config.scenario.region_x, *config.power_dbm_axis, config.power_dbm,
+              config.convergence_power_dbm, config.sa_initial_temperature)
+    assert floats == (12.0, 0.0, 10.0, 5.5, 20.0, 2.0)
+    assert all(type(value) is float for value in floats)
+    # so the echo writes what its reader parses back
+    path = tmp_path / "echo.ini"
+    path.write_text(effective_config_ini(config), encoding="utf-8")
+    assert "region_x = 12.0\n" in path.read_text(encoding="utf-8")
+    assert config_from_ini(path) == config
 
 
 def test_config_names_the_field_that_is_no_integer_and_takes_numpy_integers():
@@ -503,28 +527,25 @@ def test_coalition_past_shapley_cap_names_its_trial(monkeypatch, workers):
                                "coalition size 5 exceeds enumeration cap 4")
 
 
-def test_annealing_scores_past_the_evaluator_memo(monkeypatch):
-    # the walk keeps every value it scores in its own dict; going through
-    # the evaluator's memo would store each one twice
+def test_annealing_leaves_the_evaluator_as_it_was():
+    # the walk keeps every value it scores in its own dict and the evaluator
+    # keeps none, so the method hands the walk the evaluator itself
     config = ExperimentConfig(n_antennas=12, master_seed=3, sa_steps=3000)
     trial = harness.build_trial(config, 0, 0, 12, 0.0)
-    calls = []
-    memo_route = secrecy.SecrecyEvaluator.__call__
+    evaluator = trial.evaluator
 
-    def counting(self, mask):
-        calls.append(mask)
-        return memo_route(self, mask)
+    def state():
+        return {name: len(value) if isinstance(value, (dict, list)) else id(value)
+                for name, value in vars(evaluator).items()}
 
-    monkeypatch.setattr(secrecy.SecrecyEvaluator, "__call__", counting)
+    before = state()
     outcome = harness.METHODS["annealing"].run(trial)
-    assert calls == []
-    # the same walk as with the evaluator itself as v
-    monkeypatch.undo()
+    assert state() == before
     mask, _ = harness.simulated_annealing(
-        trial.evaluator, 12, harness.AnnealingSchedule(1.0, 3000),
+        evaluator, 12, harness.AnnealingSchedule(1.0, 3000),
         seed=method_seed(config.master_seed, 0, 0, "annealing"))
     assert outcome.mask == mask
-    assert outcome.secrecy_rate == trial.evaluator(mask)
+    assert outcome.secrecy_rate == evaluator(mask)
 
 
 def _assert_no_method_beats_the_exact_optimum(n, power_dbm, seed):
@@ -665,7 +686,7 @@ def test_effective_config_of_list_inputs_round_trips(tmp_path):
     config = ExperimentConfig(power_dbm_axis=[0, 10.0], methods=["shapley", "fixed-ula"])
     assert config.power_dbm_axis == (0, 10.0) and config.methods == ("shapley", "fixed-ula")
     text = effective_config_ini(config)
-    assert "powers_dbm = 0, 10.0\n" in text and "methods = shapley, fixed-ula\n" in text
+    assert "powers_dbm = 0.0, 10.0\n" in text and "methods = shapley, fixed-ula\n" in text
     path = tmp_path / "echo.ini"
     path.write_text(text, encoding="utf-8")
     assert config_from_ini(path) == config

@@ -237,12 +237,12 @@ def test_outsider_payoffs_equal_the_full_weights_oracle(size, where):
     assert payoffs.tobytes() == full_weighted_sums(joined - table).tobytes()
 
 
-def test_subset_table_leaves_the_memo_alone():
+def test_subset_table_refuses_a_mask_out_of_range():
     _, _, v = _evaluator(10, 5, 10.0)
-    v.subset_values((1 << 10) - 1)
-    assert v._memo == {0: 0.0}
-    with pytest.raises(ValueError):
-        v.subset_values(1 << 10)
+    assert v.subset_values((1 << 10) - 1).shape == (1 << 10,)
+    for mask in (1 << 10, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            v.subset_values(mask)
 
 
 # on 4 antennas and the mask {0, 1}: a member, a negative index, an

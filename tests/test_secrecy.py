@@ -178,7 +178,7 @@ def test_evaluator_empty_coalition_is_worth_zero():
         v.link_rates(0)
 
 
-def test_evaluator_memo_is_stable():
+def test_evaluator_is_pure():
     s, layout, budget = _golden_setup()
     v = SecrecyEvaluator(channel_vector(s, layout, GOLDEN_BOB),
                          channel_vector(s, layout, GOLDEN_EVE), budget)
