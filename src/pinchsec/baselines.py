@@ -22,7 +22,6 @@
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ import numpy as np
 from .channel import wavelengths
 from .coalitions import full_mask
 from .game import DEFAULT_MAX_CYCLES, GameTrace, ValueFunction, _scan
-from .geometry import AntennaLayout, Drop, Scenario, _real
+from .geometry import AntennaLayout, Drop, Scenario, _integer, _typed
 from .secrecy import LinkBudget, SecrecyEvaluator, _link_rates, secrecy_from_snr
 
 # annealing draws its start as one unsigned 64-bit mask
@@ -92,16 +91,6 @@ def brute_force_secrecy_optimum(evaluator: SecrecyEvaluator) -> tuple[int, float
     return mask, rb - re, rb, re
 
 
-def _integer(name: str, value) -> int:
-    """A Python or numpy integer as an int; ValueError naming the field for anything else."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """Geometric cooling schedule.
@@ -115,12 +104,9 @@ class AnnealingSchedule:
     steps: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_temperature",
-                           _real("initial_temperature", self.initial_temperature))
-        if not 0.0 < self.initial_temperature < math.inf:
-            raise ValueError(f"initial temperature must be positive and finite, "
-                             f"got {self.initial_temperature}")
-        object.__setattr__(self, "steps", _integer("steps", self.steps))
+        _typed(self)
+        if self.initial_temperature <= 0.0:
+            raise ValueError(f"initial temperature must be positive, got {self.initial_temperature}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
 

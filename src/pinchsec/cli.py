@@ -15,8 +15,8 @@ import numpy as np
 from . import coalitions
 from .channel import channel_vector
 from .game import payoff_reports
-from .harness import (_INI_FIELDS, METHODS, ExperimentConfig, apply_overrides, build_trial,
-                      config_from_ini, run_antenna_sweep,
+from .harness import (_INI_FIELDS, METHODS, ExperimentConfig, aggregate_rows, apply_overrides,
+                      build_trial, config_from_ini, run_antenna_sweep,
                       run_convergence_study, run_power_sweep, write_outputs)
 
 
@@ -35,14 +35,10 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _print_summary(result, paths):
-    by_point = {}
-    for row in result.rows:
-        key = (row.method, row.sweep_value)
-        by_point.setdefault(key, []).append(row.secrecy_rate)
     print("mean secrecy rate by (method, sweep value):")
-    for (method, sweep_value), values in sorted(by_point.items()):
-        print(f"  {method:24s} {sweep_value:8.3f}  {sum(values) / len(values):10.5f}"
-              f"  ({len(values)} trials)")
+    for point in aggregate_rows(result.rows):
+        print(f"  {point['method']:24s} {point['sweep_value']:8.3f}  {point['secrecy_mean']:10.5f}"
+              f"  ({point['trials']} trials)")
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
 

@@ -9,8 +9,10 @@ optional one-sided mode uses y in [0, region_y] instead.
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -24,12 +26,53 @@ def _boolean(name: str, value) -> bool:
     raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
+def _integer(name: str, value) -> int:
+    """A Python or numpy integer as an int; ValueError naming the field for anything else."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _real(name: str, value) -> float:
-    """A Python or numpy real number as a float; ValueError naming the field for
-    anything else, a bool or a string included."""
+    """A finite Python or numpy real number as a float; ValueError naming the
+    field for anything else: a bool, a string, NaN or an infinity."""
     if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
-        return float(value)
+        value = float(value)
+        if math.isfinite(value):
+            return value
+        raise ValueError(f"{name} must be finite, got {value}")
     raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+_CHECKS = {bool: _boolean, int: _integer, float: _real}
+
+
+def _typed(record) -> None:
+    """Type and check every field of a frozen dataclass by its annotation.
+
+    A bool, int or float field goes through its check above; a tuple[X, ...]
+    field becomes a nonempty tuple of distinct items, each through X's check
+    if X has one; a dataclass field must hold an instance of it.  Every
+    refusal is a ValueError naming the field.
+    """
+    for f in fields(record):
+        name, kind, value = f.name, f.type, getattr(record, f.name)
+        check = _CHECKS.get(kind)
+        if check is not None:
+            value = check(name, value)
+        elif get_origin(kind) is tuple:
+            check = _CHECKS.get(get_args(kind)[0])
+            value = tuple(value if check is None else (check(name, item) for item in value))
+            if not value:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(value)) != len(value):
+                raise ValueError(f"{name} repeats a value: {value}")
+        elif is_dataclass(kind) and not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        object.__setattr__(record, name, value)
 
 
 @dataclass(frozen=True)
@@ -52,14 +95,7 @@ class Scenario:
     one_sided_region: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "one_sided_region",
-                           _boolean("one_sided_region", self.one_sided_region))
-        for f in fields(self):
-            if f.type is float:
-                value = _real(f.name, getattr(self, f.name))
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
-                object.__setattr__(self, f.name, value)
+        _typed(self)
         if self.region_x <= 0 or self.region_y <= 0:
             raise ValueError("region dimensions must be positive")
         if self.waveguide_height <= 0:
@@ -88,11 +124,7 @@ class AntennaLayout:
     positions_x: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "positions_x", tuple(float(x) for x in self.positions_x))
-        if len(self.positions_x) < 1:
-            raise ValueError("layout needs at least one antenna")
-        if not all(math.isfinite(x) for x in self.positions_x):
-            raise ValueError(f"antenna positions must be finite, got {self.positions_x}")
+        _typed(self)
         if any(b <= a for a, b in zip(self.positions_x, self.positions_x[1:])):
             raise ValueError("antenna positions must be strictly increasing")
         if self.positions_x[0] < 0.0:

@@ -32,14 +32,13 @@ from typing import Callable, NamedTuple, get_args, get_origin
 import numpy as np
 
 from . import coalitions
-from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule, _integer,
-                        brute_force_secrecy_optimum,
+from .baselines import (ANNEALING_MAX_ANTENNAS, AnnealingSchedule, brute_force_secrecy_optimum,
                         coalition_value_activation, simulated_annealing,
                         ula_secrecy_rate)
 from .channel import channel_vector
 from .coalitions import ENUMERATION_CAP, CapacityError
 from .game import DEFAULT_MAX_CYCLES, GameTrace, closest_antenna, run_activation
-from .geometry import AntennaLayout, Drop, Scenario, _boolean, _real, sample_drop, uniform_layout
+from .geometry import AntennaLayout, Drop, Scenario, _typed, sample_drop, uniform_layout
 from .secrecy import LinkBudget, SecrecyEvaluator
 
 DEFAULT_METHODS = ("initial-single-antenna", "shapley", "coalition-value", "fixed-ula")
@@ -70,38 +69,20 @@ class ExperimentConfig:
     sa_initial_temperature: float = 1.0
 
     def __post_init__(self):
-        for name in ("trials", "n_antennas", "master_seed", "max_cycles", "workers", "sa_steps"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("power_dbm", "convergence_power_dbm", "sa_initial_temperature"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        object.__setattr__(self, "antenna_axis", tuple(_integer("antenna_axis", n) for n in self.antenna_axis))
-        # the echo writes a tuple as its reader's comma list
-        object.__setattr__(self, "power_dbm_axis", tuple(_real("power_dbm_axis", p) for p in self.power_dbm_axis))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "timing", _boolean("timing", self.timing))
+        _typed(self)            # lists become tuples: the echo writes them as comma lists
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.power_dbm_axis:
-            raise ValueError("power axis must be nonempty")
         # every power a study can run must make a usable link budget
         for power in (*self.power_dbm_axis, self.power_dbm, self.convergence_power_dbm):
             LinkBudget(power, self.scenario.noise_power_dbm)
         AnnealingSchedule(self.sa_initial_temperature, self.sa_steps)
-        if not self.antenna_axis:
-            raise ValueError("antenna axis must be nonempty")
         if any(n < 1 for n in self.antenna_axis):
             raise ValueError("antenna counts must be at least 1")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be at least 1")
-        if not self.methods:
-            raise ValueError("need at least one method")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
-        for name in ("power_dbm_axis", "antenna_axis", "methods"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} repeats a value: {values}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
         if self.workers < 1:

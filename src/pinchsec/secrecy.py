@@ -14,6 +14,7 @@ from operator import lt
 import numpy as np
 
 from . import coalitions
+from .geometry import _typed
 
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -37,10 +38,7 @@ class LinkBudget:
     noise_power_dbm: float
 
     def __post_init__(self):
-        if not math.isfinite(self.transmit_power_dbm):
-            raise ValueError(f"transmit power must be finite, got {self.transmit_power_dbm}")
-        if not math.isfinite(self.noise_power_dbm):
-            raise ValueError(f"noise power must be finite, got {self.noise_power_dbm}")
+        _typed(self)
         # the rates need P_t / sigma^2 in watts finite: noise that underflows
         # to 0 W, or a power past 1e308 W, would give inf or NaN rates
         try:

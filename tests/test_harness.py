@@ -4,8 +4,9 @@ import statistics
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchsec import (
+    AnnealingSchedule,
+    AntennaLayout,
     CapacityError,
     ExperimentConfig,
+    LinkBudget,
     Scenario,
     aggregate_rows,
     coalitions,
@@ -83,6 +87,8 @@ def _row_key(row):
     {"power_dbm_axis": ("10",)},
     {"convergence_power_dbm": None},
     {"sa_initial_temperature": "1"},
+    # the scenario is a Scenario, not a string naming one
+    {"scenario": "x"},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -126,6 +132,33 @@ def test_config_names_the_switch_that_is_no_bool_and_takes_numpy_bools():
         ExperimentConfig(timing="no")
     config = ExperimentConfig(timing=np.True_)
     assert config.timing is True and config == ExperimentConfig(timing=True)
+
+
+# one valid instance of each input record, and what each field's annotation refuses
+_RECORDS = (Scenario(), AntennaLayout((1.0, 2.0)), LinkBudget(10.0, -90.0), AnnealingSchedule(),
+            ExperimentConfig())
+_BAD = {float: (True, "1", None, math.nan), int: (1.5, True), bool: ("no", 1)}
+
+
+def _bad_fields():
+    for record in _RECORDS:
+        for f in fields(record):
+            kind, good = f.type, getattr(record, f.name)
+            if get_origin(kind) is tuple:
+                bad = [(), (good[0], good[0])] + [(item,) for item in _BAD.get(get_args(kind)[0], ())]
+            elif is_dataclass(kind):
+                bad = ["x"]
+            else:
+                bad = _BAD.get(kind, ())      # out_dir, a str, takes what it is given
+            for value in bad:
+                yield pytest.param(record, f.name, value,
+                                   id=f"{type(record).__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("record, name, value", list(_bad_fields()))
+def test_every_input_field_refuses_what_its_annotation_does_not_allow(record, name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        replace(record, **{name: value})
 
 
 def test_config_defaults():
