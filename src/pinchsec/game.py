@@ -22,8 +22,8 @@ improve its payoff by unilaterally joining or leaving (Nash stability),
 or after a cycle cap.  The value-driven baseline runs the same scan with
 its own rule.  A scan's GameTrace keeps its start and its flips, each with
 the mask it left and that mask's value, and looks up v for nothing else;
-to_rows() expands the flips to one row per examined antenna, cycles_used
-x N in all, as trace.csv lists them.
+it stays so until trace.csv is written, and steps() expands the flips to
+one row per examined antenna, cycles_used x N in all.
 
 The value v is a SecrecyEvaluator, or any object with its v(mask) and
 v.subset_values(mask, joining) (see run_activation).  The rule scores the
@@ -47,6 +47,7 @@ stays under 1 GiB at the |S| = 24 cap; an outsider of 24 members is
 refused before any buffer.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -313,7 +314,7 @@ class GameTrace:
 
     A scan examines all n_antennas antennas in index order every cycle, so
     it examines cycles_used * n_antennas in all, but only the flips are
-    kept.  to_rows() expands them back to one row per examined antenna, in
+    kept.  steps() expands them back to one row per examined antenna, in
     which an antenna that did not flip leaves the mask and value as they
     were.
     """
@@ -325,22 +326,16 @@ class GameTrace:
     converged: bool
     cycles_used: int
 
-    def to_rows(self) -> list[dict]:
-        """Flat dict rows (one per examined antenna) in trace.csv column order."""
-        rows = []
+    def steps(self):
+        """One (cycle, step, antenna, action, mask, size, value) per examined antenna."""
+        at = {(flip.cycle, flip.antenna): flip for flip in self.flips}
         mask, value = self.start, self.start_value
-        flips = iter(self.flips)
-        flip = next(flips, None)
-        for cycle in range(1, self.cycles_used + 1):
-            for n in range(self.n_antennas):
-                action = "none"
-                if flip is not None and flip.cycle == cycle and flip.antenna == n:
-                    mask, value, action = flip.coalition, flip.value, flip.action
-                    flip = next(flips, None)
-                rows.append({"cycle": cycle, "step": len(rows) + 1, "antenna": n, "action": action,
-                             "coalition_mask": mask, "coalition_size": mask.bit_count(),
-                             "value": value})
-        return rows
+        examined = itertools.product(range(1, self.cycles_used + 1), range(self.n_antennas))
+        for step, (cycle, n) in enumerate(examined, 1):
+            flip = at.get((cycle, n))
+            if flip:
+                mask, value = flip.coalition, flip.value
+            yield cycle, step, n, flip.action if flip else "none", mask, mask.bit_count(), value
 
 
 @dataclass(frozen=True)

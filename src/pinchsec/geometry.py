@@ -10,6 +10,7 @@ optional one-sided mode uses y in [0, region_y] instead.
 import math
 import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import get_args, get_origin
@@ -54,9 +55,10 @@ def _typed(record) -> None:
     """Type and check every field of a frozen dataclass by its annotation.
 
     A bool, int or float field goes through its check above; a tuple[X, ...]
-    field becomes a nonempty tuple of distinct items, each through X's check
-    if X has one; a dataclass field must hold an instance of it.  Every
-    refusal is a ValueError naming the field.
+    field takes any iterable but a str or bytes, and becomes a nonempty
+    tuple of distinct items, each through X's check if X has one; a
+    dataclass field must hold an instance of it.  Every refusal is a
+    ValueError naming the field.
     """
     for f in fields(record):
         name, kind, value = f.name, f.type, getattr(record, f.name)
@@ -64,6 +66,9 @@ def _typed(record) -> None:
         if check is not None:
             value = check(name, value)
         elif get_origin(kind) is tuple:
+            # a str or bytes would split into its characters or byte values
+            if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list, got {value!r}")
             check = _CHECKS.get(get_args(kind)[0])
             value = tuple(value if check is None else (check(name, item) for item in value))
             if not value:

@@ -13,7 +13,7 @@ sorted before emission so the worker count never changes the output bytes.
 Outputs (CSV, 12 significant digits, CRLF line ends):
   raw_rows.csv  one row per (method, sweep point, trial)
   aggregate.csv per-method per-sweep-point means and standard errors
-  trace.csv     per-examined-antenna game trace (convergence runs only)
+  trace.csv     per-examined-antenna game trace, expanded from its flips (convergence runs)
   timings.csv   wall-clock per row, only when timing is enabled
   effective_config.ini  the full configuration actually used
 
@@ -25,7 +25,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin
 
@@ -43,6 +43,8 @@ from .secrecy import LinkBudget, SecrecyEvaluator
 
 DEFAULT_METHODS = ("initial-single-antenna", "shapley", "coalition-value", "fixed-ula")
 CONVERGENCE_METHODS = ("shapley", "coalition-value")
+TRACE_HEADER = ("method", "trial", "cycle", "step", "antenna", "action", "coalition_mask",
+                "coalition_size", "value")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         # every power a study can run must make a usable link budget
         for power in (*self.power_dbm_axis, self.power_dbm, self.convergence_power_dbm):
-            LinkBudget(power, self.scenario.noise_power_dbm)
+            _link_budget(power, self.scenario.noise_power_dbm)
         AnnealingSchedule(self.sa_initial_temperature, self.sa_steps)
         if any(n < 1 for n in self.antenna_axis):
             raise ValueError("antenna counts must be at least 1")
@@ -120,8 +122,14 @@ class ConvergenceRow(ResultRow):
 class StudyResult:
     kind: str                   # "power", "antenna", or "convergence"
     rows: list
-    trace_rows: list = field(default_factory=list)
+    traces: list = field(default_factory=list)  # (method, trial, GameTrace), in that order
     reference_method: str = None
+
+    @property
+    def trace_rows(self) -> list[dict]:
+        """trace.csv's rows as dicts, one per examined antenna, built on each read."""
+        return [dict(zip(TRACE_HEADER, (method, trial, *step)))
+                for method, trial, trace in self.traces for step in trace.steps()]
 
 
 def drop_seed(master_seed: int, sweep_idx: int, trial: int) -> np.random.SeedSequence:
@@ -163,7 +171,15 @@ def build_trial(config: ExperimentConfig, sweep_idx: int, trial_idx: int,
     drop = sample_drop(scenario, np.random.default_rng(seq))
     return Trial(config, sweep_idx, trial_idx, fingerprint, drop,
                  uniform_layout(scenario, n_antennas),
-                 LinkBudget(power_dbm, scenario.noise_power_dbm))
+                 _link_budget(power_dbm, scenario.noise_power_dbm))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _link_budget(transmit_power_dbm: float, noise_power_dbm: float) -> LinkBudget:
+    """One budget per power pair: a study checks each of its powers when it
+    is configured, and every trial at that power reads the same budget.
+    typed, so a bool never shares the entry of the float it equals."""
+    return LinkBudget(transmit_power_dbm, noise_power_dbm)
 
 
 class Outcome(NamedTuple):
@@ -283,8 +299,7 @@ def _evaluate_trial(args) -> tuple[list, list]:
     kind, config, sweep_idx, trial_idx = args
     sweep_value, n, power = _study_points(kind, config)[sweep_idx]
     trial = build_trial(config, sweep_idx, trial_idx, n, power)
-    rows = []
-    traces = {}
+    rows, traces = [], []
     for method in _study_methods(kind, config):
         start = time.perf_counter()
         try:
@@ -293,24 +308,16 @@ def _evaluate_trial(args) -> tuple[list, list]:
             raise CapacityError(f"{method} at {kind} sweep point {sweep_value:g}, trial "
                                 f"{trial_idx} (drop seed {trial.seed}): {exc}") from exc
         if outcome.trace is not None:
-            traces[method] = outcome.trace
+            traces.append((method, trial_idx, outcome.trace))
         rows.append(_result_row(method, sweep_value, trial, outcome,
                                 time.perf_counter() - start))
-    if kind != "convergence":
-        return rows, []
-    return _convergence_extras(rows, traces)
+    return (_convergence_extras(rows), traces) if kind == "convergence" else (rows, [])
 
 
-def _convergence_extras(rows, traces):
-    """Score a trial's rows against its last, the optimum reference, and flatten its traces."""
+def _convergence_extras(rows):
+    """Score a trial's rows against its last, the optimum reference."""
     reference = rows[-1]
     ref_value = reference.secrecy_rate
-
-    def ratio(value):
-        if ref_value <= 0.0:
-            return float("nan")
-        return value / ref_value
-
     out = []
     for row in rows:
         if reference.method == "brute-force" and row.secrecy_rate > ref_value + 1e-9 * max(1.0, abs(ref_value)):
@@ -319,12 +326,9 @@ def _convergence_extras(rows, traces):
                 f"{row.secrecy_rate} > {ref_value}")
         out.append(ConvergenceRow(
             **{f.name: getattr(row, f.name) for f in fields(ResultRow)},
-            optimum_value=ref_value, optimum_ratio=ratio(row.secrecy_rate),
-            reference_method=reference.method))
-
-    trace_rows = [{"method": method, "trial": reference.trial, **row}
-                  for method, trace in traces.items() for row in trace.to_rows()]
-    return out, trace_rows
+            optimum_value=ref_value, reference_method=reference.method,
+            optimum_ratio=row.secrecy_rate / ref_value if ref_value > 0.0 else math.nan))
+    return out
 
 
 def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
@@ -360,10 +364,9 @@ def _run_study(kind: str, config: ExperimentConfig) -> StudyResult:
             outcomes = list(pool.map(_evaluate_trial, tasks, chunksize=chunk))
 
     rows = [row for rows_, _ in outcomes for row in rows_]
-    trace_rows = [tr for _, trs in outcomes for tr in trs]
     rows.sort(key=lambda r: (r.method, r.sweep_value, r.trial))
-    trace_rows.sort(key=lambda r: (r["method"], r["trial"], r["step"]))
-    return StudyResult(kind=kind, rows=rows, trace_rows=trace_rows,
+    traces = sorted((t for _, records in outcomes for t in records), key=lambda t: t[:2])
+    return StudyResult(kind=kind, rows=rows, traces=traces,
                        reference_method=methods[-1] if kind == "convergence" else None)
 
 
@@ -402,24 +405,33 @@ def emit_csv(rows, path) -> Path:
     """
     if not rows:
         raise ValueError(f"refusing to write an empty table to {path}")
-    path = Path(path)
     first = rows[0]
     if isinstance(first, dict):
-        names = list(first)
-        values = (row[name] for row in rows for name in names)
+        names, cell = list(first), dict.__getitem__
     else:
-        names = [f.name for f in fields(first) if f.name != "wall_time_s"]
-        values = (getattr(row, name) for row in rows for name in names)
-    width = len(names)
+        names, cell = [f.name for f in fields(first) if f.name != "wall_time_s"], getattr
+    lines = (",".join([_format_cell(cell(row, name)) for name in names]) + "\r\n" for row in rows)
+    return _write_table(path, names, lines)
+
+
+def _trace_lines(traces):
+    """trace.csv's lines, formatting a trace's prefix and a flip's mask, size and value once."""
+    for method, trial, trace in traces:
+        prefix = ",".join(map(_format_cell, (method, trial)))
+        shown = None
+        for cycle, step, antenna, action, mask, size, value in trace.steps():
+            if mask != shown:       # every flip changes the mask
+                shown, tail = mask, ",".join(map(_format_cell, (mask, size, value)))
+            yield f"{prefix},{cycle},{step},{antenna},{action},{tail}\r\n"
+
+
+def _write_table(path, names, lines) -> Path:
+    """Write a CSV header of names, then lines, each ending in CRLF."""
+    path = Path(path)
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(",".join(names) + "\r\n")
-            line = []
-            for cell in values:
-                line.append(_format_cell(cell))
-                if len(line) == width:
-                    handle.write(",".join(line) + "\r\n")
-                    line.clear()
+            handle.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     return path
@@ -476,8 +488,9 @@ def write_outputs(result: StudyResult, config: ExperimentConfig) -> dict:
         "raw_rows": emit_csv(result.rows, out_dir / "raw_rows.csv"),
         "aggregate": emit_csv(aggregate_rows(result.rows), out_dir / "aggregate.csv"),
     }
-    if result.trace_rows:
-        paths["trace"] = emit_csv(result.trace_rows, out_dir / "trace.csv")
+    if result.traces:
+        paths["trace"] = _write_table(out_dir / "trace.csv", TRACE_HEADER,
+                                      _trace_lines(result.traces))
     if config.timing:
         timing_rows = [
             {"method": r.method, "sweep_value": r.sweep_value, "trial": r.trial,

@@ -4,10 +4,10 @@ The scalar channel, rate, exhaustive-search and move-rule paths here are
 references for the package's vectorized ones: one antenna, one mask or
 one coalition at a time, in plain Python arithmetic.  ValueTable gives a
 plain table or function the two calls the payoff game reads values
-through, with one scalar lookup per subset.  The stepwise scan and the
-evaluator-built fixed array are the routes the package's scan trace and
-fixed array replaced; the mask check and the Nash stability check serve
-only the tests.
+through, with one scalar lookup per subset.  The stepwise scan, the
+dict expansion of a trace and the evaluator-built fixed array are the
+routes the package's scan trace, trace writer and fixed array replaced;
+the mask check and the Nash stability check serve only the tests.
 """
 
 import cmath
@@ -349,6 +349,25 @@ def step_rows(steps) -> list[dict]:
         }
         for i, s in enumerate(steps)
     ]
+
+
+def to_rows(trace) -> list[dict]:
+    """Flat dict rows of a GameTrace (one per examined antenna) in trace.csv
+    column order (oracle for GameTrace.steps() and the trace.csv writer)."""
+    rows = []
+    mask, value = trace.start, trace.start_value
+    flips = iter(trace.flips)
+    flip = next(flips, None)
+    for cycle in range(1, trace.cycles_used + 1):
+        for n in range(trace.n_antennas):
+            action = "none"
+            if flip is not None and flip.cycle == cycle and flip.antenna == n:
+                mask, value, action = flip.coalition, flip.value, flip.action
+                flip = next(flips, None)
+            rows.append({"cycle": cycle, "step": len(rows) + 1, "antenna": n, "action": action,
+                         "coalition_mask": mask, "coalition_size": mask.bit_count(),
+                         "value": value})
+    return rows
 
 
 def is_nash_stable(v, coalition: int, n_antennas: int) -> bool:

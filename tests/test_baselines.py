@@ -37,7 +37,7 @@ from pinchsec.game import DEFAULT_MAX_CYCLES
 from pinchsec.geometry import Drop
 from pinchsec.secrecy import _BLOCK_BITS, secrecy_from_snr
 from helpers import (ValueTable, brute_force_optimum, evaluator_ula_secrecy_rate, loop_annealing,
-                     one_shot_table, step_rows, stepwise_scan, value_rule)
+                     one_shot_table, step_rows, stepwise_scan, to_rows, value_rule)
 
 
 def _drop_evaluator(seed=1, n=8, power_dbm=10.0):
@@ -777,7 +777,7 @@ def test_value_driven_activation_monotone_and_greedy():
     assert mask == 0b1111
     assert trace.converged
     # accepted moves never lower the running value
-    values = [r["value"] for r in trace.to_rows()]
+    values = [r["value"] for r in to_rows(trace)]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
 
@@ -797,7 +797,7 @@ def test_value_driven_rule_looks_up_the_scanned_mask_once(n, seed):
     layout = AntennaLayout(tuple(float(i) for i in range(n)))
     bob = (n / 2.0, 0.0, 0.0)
     _, trace = coalition_value_activation(ValueTable(value), layout, bob)
-    rows = trace.to_rows()
+    rows = to_rows(trace)
     oracle = ValueTable(table)
     _, ref_steps, _, _ = stepwise_scan(oracle, layout, bob, value_rule(oracle), DEFAULT_MAX_CYCLES)
     assert rows == step_rows(ref_steps)
@@ -816,7 +816,7 @@ def test_value_driven_activation_can_abandon_the_start():
     layout = AntennaLayout((0.0, 1.0))
     mask, trace = coalition_value_activation(table.__getitem__, layout, (0.0, 0.0, 0.0))
     assert mask == 0b10
-    assert [r["action"] for r in trace.to_rows()] == ["none", "merge", "split", "none", "none", "none"]
+    assert [r["action"] for r in to_rows(trace)] == ["none", "merge", "split", "none", "none", "none"]
     assert trace.cycles_used == 3
     assert trace.converged
 

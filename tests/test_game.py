@@ -20,9 +20,10 @@ from pinchsec import (
 )
 from pinchsec import game
 from pinchsec.game import _payoff_rule, closest_antenna
-from pinchsec.harness import METHODS, build_trial
+from pinchsec.harness import METHODS, TRACE_HEADER, build_trial
 from helpers import (ValueTable, from_members, is_nash_stable, permutation_payoff,
-                     random_value_table, scalar_rule, step_rows, stepwise_scan, value_rule)
+                     random_value_table, scalar_rule, step_rows, stepwise_scan, to_rows,
+                     value_rule)
 
 
 def test_payoff_matches_permutation_enumeration():
@@ -117,7 +118,7 @@ def test_activation_on_pair_table():
     assert mask == 0b11
     assert trace.converged is True
     assert trace.cycles_used == 2
-    rows = trace.to_rows()
+    rows = to_rows(trace)
     assert [r["action"] for r in rows] == ["none", "merge", "none", "none"]
     assert [r["cycle"] for r in rows] == [1, 1, 2, 2]
     assert [r["coalition_mask"] for r in rows] == [0b01, 0b11, 0b11, 0b11]
@@ -130,7 +131,7 @@ def test_activation_merges_then_splits():
     assert mask == 0b101
     assert trace.converged is True
     assert trace.cycles_used == 3
-    rows = trace.to_rows()
+    rows = to_rows(trace)
     assert [r["action"] for r in rows] == [
         "none", "merge", "merge",
         "none", "split", "none",
@@ -146,7 +147,7 @@ def test_activation_respects_cycle_cap():
                                  max_cycles=1)
     assert trace.converged is False
     assert trace.cycles_used == 1
-    assert len(trace.to_rows()) == 3
+    assert len(to_rows(trace)) == 3
     assert mask == 0b111   # stopped before the split could happen
 
 
@@ -185,7 +186,7 @@ def test_activation_reaches_stability_on_physical_drops():
         assert mask != 0
         assert trace.converged
         assert is_nash_stable(v, mask, 8)
-        rows = trace.to_rows()
+        rows = to_rows(trace)
         assert rows[-1]["coalition_mask"] == mask
         # a converged run ends with one full quiet cycle
         last_cycle = [r for r in rows if r["cycle"] == trace.cycles_used]
@@ -203,7 +204,7 @@ def test_activation_is_deterministic_without_scan_rng():
     first = run_activation(v, layout, drop.bob)
     second = run_activation(v, layout, drop.bob)
     assert first[0] == second[0]
-    assert first[1].to_rows() == second[1].to_rows()
+    assert to_rows(first[1]) == to_rows(second[1])
 
 
 def test_payoff_reports_cover_every_antenna():
@@ -230,12 +231,15 @@ def test_payoff_reports_cover_every_antenna():
 def test_trace_rows_format():
     layout = AntennaLayout((0.0, 1.0))
     _, trace = run_activation(ValueTable(PAIR_TABLE), layout, (0.0, 0.0, 0.0))
-    rows = trace.to_rows()
+    rows = to_rows(trace)
     assert [r["step"] for r in rows] == [1, 2, 3, 4]
     assert rows[1] == {
         "step": 2, "cycle": 1, "antenna": 1, "action": "merge",
         "coalition_mask": 0b11, "coalition_size": 2, "value": 3.0,
     }
+    # the package's expansion: the same rows as tuples in column order
+    assert TRACE_HEADER[2:] == tuple(rows[0])
+    assert list(trace.steps()) == [tuple(r.values()) for r in rows]
 
 
 # each activation method's scan, and a fresh instance of its move rule for the oracle
@@ -255,7 +259,9 @@ def _expands_to_stepwise_scan(method, v, layout, bob, max_cycles):
     assert mask == ref_mask
     assert (trace.converged, trace.cycles_used) == (converged, cycles)
     # repr compares NaN values too, and tells -0.0 from 0.0
-    assert repr(trace.to_rows()) == repr(step_rows(ref_steps))
+    want = repr(step_rows(ref_steps))
+    assert repr(to_rows(trace)) == want
+    assert repr([dict(zip(TRACE_HEADER[2:], step)) for step in trace.steps()]) == want
     assert len(ref_steps) == trace.cycles_used * layout.n_antennas
     return ref_steps
 
@@ -298,4 +304,4 @@ def test_scan_looks_up_v_only_at_the_start_and_after_each_flip():
     assert [flip.coalition for flip in trace.flips] == [0b011, 0b111, 0b101]
     assert [flip.action for flip in trace.flips] == ["merge", "merge", "split"]
     assert looked_up == [0b001, 0b011, 0b111, 0b101]
-    assert len(trace.to_rows()) == 9
+    assert len(to_rows(trace)) == 9

@@ -29,8 +29,9 @@ from pinchsec import (
 )
 from pinchsec import game, harness, secrecy
 from pinchsec.coalitions import ENUMERATION_CAP
-from pinchsec.harness import (ResultRow, apply_overrides, config_from_ini, drop_seed,
+from pinchsec.harness import (ResultRow, apply_overrides, build_trial, config_from_ini, drop_seed,
                               effective_config_ini, emit_csv, method_seed)
+from helpers import to_rows
 
 TINY = dict(trials=2, n_antennas=5, power_dbm_axis=(0.0, 10.0), antenna_axis=(3, 5))
 
@@ -89,6 +90,12 @@ def _row_key(row):
     {"sa_initial_temperature": "1"},
     # the scenario is a Scenario, not a string naming one
     {"scenario": "x"},
+    # a list field takes a list: not a bare item, nor a string split into
+    # its characters or bytes into their values
+    {"methods": None},
+    {"power_dbm_axis": 3.0},
+    {"methods": "shapley"},
+    {"antenna_axis": b"ab"},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -145,7 +152,8 @@ def _bad_fields():
         for f in fields(record):
             kind, good = f.type, getattr(record, f.name)
             if get_origin(kind) is tuple:
-                bad = [(), (good[0], good[0])] + [(item,) for item in _BAD.get(get_args(kind)[0], ())]
+                bad = [(), (good[0], good[0]), good[0], None, "ab", b"ab"]
+                bad += [(item,) for item in _BAD.get(get_args(kind)[0], ())]
             elif is_dataclass(kind):
                 bad = ["x"]
             else:
@@ -159,6 +167,17 @@ def _bad_fields():
 def test_every_input_field_refuses_what_its_annotation_does_not_allow(record, name, value):
     with pytest.raises(ValueError, match=f"^{name} "):
         replace(record, **{name: value})
+
+
+def test_trials_at_one_power_share_the_budget_the_config_checked():
+    config = ExperimentConfig(power_dbm_axis=(3.0, 7.0))
+    first, second = (build_trial(config, 0, t, 4, 3.0) for t in (0, 1))
+    assert first.budget is second.budget is harness._link_budget(3.0, -90.0)
+    assert first.budget == LinkBudget(3.0, -90.0)
+    # a bool equals 1.0 but never reads the 1 dBm budget from the cache
+    harness._link_budget(1.0, -90.0)
+    with pytest.raises(ValueError, match="transmit_power_dbm must be a real number"):
+        harness._link_budget(True, -90.0)
 
 
 def test_config_defaults():
@@ -411,6 +430,37 @@ def test_convergence_traces_are_emittable(small_convergence):
         runs.setdefault((tr["method"], tr["trial"]), []).append(tr["step"])
     for steps in runs.values():
         assert steps == list(range(1, len(steps) + 1))
+
+
+def _oracle_trace_rows(result):
+    """trace.csv's rows as the dict layer built them: every trace expanded
+    by the oracle, then sorted by (method, trial, step)."""
+    rows = [{"method": method, "trial": trial, **row}
+            for method, trial, trace in result.traces for row in to_rows(trace)]
+    return sorted(rows, key=lambda r: (r["method"], r["trial"], r["step"]))
+
+
+@pytest.mark.parametrize("config, shows", [
+    # the defaults but for the study's size
+    (ExperimentConfig(trials=4, n_antennas=10, master_seed=11),
+     lambda trace: trace.converged and len(trace.flips) > 1),
+    # cut scans end with flips in their last cycle
+    (ExperimentConfig(trials=4, n_antennas=10, master_seed=11, max_cycles=1),
+     lambda trace: not trace.converged and trace.flips[-1].cycle == trace.cycles_used),
+    # trial 2's value-greedy scan never flips
+    (ExperimentConfig(trials=3, n_antennas=6, convergence_power_dbm=0.0, master_seed=3),
+     lambda trace: not trace.flips),
+], ids=["default", "cut-at-one-cycle", "no-flip"])
+def test_trace_csv_and_trace_rows_match_the_oracle_expansion(tmp_path, config, shows):
+    result = run_convergence_study(config)
+    assert any(shows(trace) for _, _, trace in result.traces)
+    want = _oracle_trace_rows(result)
+    # repr compares NaN values too, and tells -0.0 from 0.0
+    assert repr(result.trace_rows) == repr(want)
+    written = write_outputs(result, replace(config, out_dir=str(tmp_path / "out")))["trace"]
+    oracle = emit_csv(want, tmp_path / "oracle.csv")
+    assert (written.read_bytes().splitlines(keepends=True)
+            == oracle.read_bytes().splitlines(keepends=True))
 
 
 def test_convergence_aggregate_includes_ratio(small_convergence):

@@ -26,7 +26,8 @@ from pinchsec.coalitions import ENUMERATION_CAP
 from pinchsec.game import (_chunk_rows, _coalition_scores, _member_payoffs, _outsider_scores,
                            _payoff_rule, _scan, _with_member, _without_member)
 from helpers import (ValueTable, from_members, full_weighted_sums, full_weights_member_payoffs,
-                     is_nash_stable, loop_payoff, one_shot_table, permutation_payoff, scalar_rule)
+                     is_nash_stable, loop_payoff, one_shot_table, permutation_payoff, scalar_rule,
+                     to_rows)
 
 SCENARIO = Scenario()
 
@@ -360,7 +361,7 @@ def test_table_rule_matches_the_scalar_oracle_past_one_chunk(seed):
     # outsider is scored in a chunk of its own
     layout, drop, v = _evaluator(40, seed, 0.0)
     mask, trace = run_activation(v, layout, drop.bob)
-    assert max(r["coalition_size"] for r in trace.to_rows()) > 13
+    assert max(r["coalition_size"] for r in to_rows(trace)) > 13
     _same_scan(v, layout, drop.bob, 100)
 
 
@@ -372,7 +373,7 @@ def test_scan_matches_one_candidate_check_per_step():
         mask, trace = run_activation(v, layout, drop.bob)
         ref_mask, ref_trace = _scan(v, layout, drop.bob, scalar_rule(v), 100)
         assert mask == ref_mask
-        assert trace.to_rows() == ref_trace.to_rows()
+        assert to_rows(trace) == to_rows(ref_trace)
         assert is_nash_stable(v, mask, 10)
 
 
@@ -382,7 +383,7 @@ def _same_scan(v, layout, bob, max_cycles):
     ref_mask, ref_trace = _scan(v, layout, bob, scalar_rule(v), max_cycles)
     assert mask == ref_mask
     # repr compares NaN values too, and tells -0.0 from 0.0
-    assert repr(trace.to_rows()) == repr(ref_trace.to_rows())
+    assert repr(to_rows(trace)) == repr(to_rows(ref_trace))
     assert (trace.converged, trace.cycles_used) == (ref_trace.converged, ref_trace.cycles_used)
 
 
